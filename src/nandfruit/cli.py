@@ -10,7 +10,7 @@ import sys
 from .compilers import compile_fruit
 from .hamiltonian import FruitSpec, InputError, assemble_fruit
 from .seo import write_english, write_log, write_picture
-from .verify import DEFAULT_MAX_VERIFY_QUBITS, verify_compile
+from .verify import DEFAULT_MAX_VERIFY_QUBITS, MAX_VERIFY_QUBITS, verify_compile
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,6 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_verify_qubits > MAX_VERIFY_QUBITS:
+        gib = 16 * 4 ** args.max_verify_qubits / 2 ** 30
+        print(
+            f"Message: --max-verify-qubits {args.max_verify_qubits} exceeds "
+            f"{MAX_VERIFY_QUBITS}: one dense {args.max_verify_qubits}-qubit "
+            f"unitary needs {gib:g} GiB"
+        )
+        return 1
     spec = FruitSpec(
         file_prefix=args.prefix,
         nb_line=args.line_qubits,
@@ -78,9 +86,13 @@ def run(argv=None) -> int:
         _, blocks = assemble_fruit(spec)
         report.error = verify_compile(blocks.fruit, program)
 
-    write_english(program, f"{spec.file_prefix}_qfru_eng.txt")
-    write_picture(program, f"{spec.file_prefix}_qfru_pic.txt")
-    write_log(report, spec, f"{spec.file_prefix}_qfru_log.txt")
+    try:
+        write_english(program, f"{spec.file_prefix}_qfru_eng.txt")
+        write_picture(program, f"{spec.file_prefix}_qfru_pic.txt")
+        write_log(report, spec, f"{spec.file_prefix}_qfru_log.txt")
+    except OSError as exc:
+        print(f"Message: {exc}")
+        return 1
 
     print(f"Number of Qubits: {report.num_qubits}")
     print(f"Number of Elementary Operations: {report.num_elementary_ops}")

@@ -7,10 +7,15 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import SparseSymmetric
-from .seo import Gate, SeoProgram, expand
+# expand stays importable here: perfbench/tracer.py traces nandfruit.verify.expand
+from .seo import Gate, Loop, SeoProgram, expand  # noqa: F401
 
 # largest register the dense verifier handles by default (dim 1024)
 DEFAULT_MAX_VERIFY_QUBITS = 10
+
+# largest cap accepted at all: a 13-qubit dense complex matrix takes 1 GiB,
+# and program_unitary holds one per loop-nesting level
+MAX_VERIFY_QUBITS = 13
 
 
 def _as_dense(h) -> np.ndarray:
@@ -42,43 +47,74 @@ def _rotation_block(kind: str, angle: float) -> np.ndarray:
     raise ValueError(kind)
 
 
-def apply_gate(u: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Left-multiply u by the dense matrix of one (multiply-controlled) gate."""
-    dim = 2 ** num_qubits
-    states = np.arange(dim)
-    satisfied = np.ones(dim, dtype=bool)
-    for q, pol in gate.controls:
-        bit = (states >> q) & 1
-        satisfied &= bit == (1 if pol else 0)
+def _touched_rows(gate: Gate, dim: int, row_cache: dict):
+    """Row indices a gate updates: the control-satisfied rows for PHAS, the
+    (lo, hi) pairs differing only in the target bit for the others.
 
+    Keyed by (control mask, control value, target) in row_cache.
+    """
+    mask = value = 0
+    for q, pol in gate.controls:
+        mask |= 1 << q
+        value |= pol << q
+    target = None if gate.kind == "PHAS" else gate.target
+    key = (mask, value, target)
+    rows = row_cache.get(key)
+    if rows is None:
+        states = np.arange(dim)
+        satisfied = states[(states & mask) == value]
+        if target is None:
+            rows = satisfied
+        else:
+            lo = satisfied[((satisfied >> target) & 1) == 0]
+            rows = (lo, lo | (1 << target))
+        row_cache[key] = rows
+    return rows
+
+
+def apply_gate(u: np.ndarray, gate: Gate, row_cache: dict) -> None:
+    """Left-multiply u in place by the dense matrix of one (multiply-controlled)
+    gate, updating only the rows it touches.
+
+    row_cache holds the touched rows per control pattern; share one dict
+    among calls on matrices of the same dimension.
+    """
+    rows = _touched_rows(gate, u.shape[0], row_cache)
     if gate.kind == "PHAS":
         # phase on the control-satisfied subspace; target, if any, is inert
-        u = u.copy()
-        u[satisfied, :] *= np.exp(1j * gate.angle)
-        return u
-
-    block = (
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        if gate.kind == "SIGX"
-        else _rotation_block(gate.kind, gate.angle)
-    )
-    t = gate.target
-    lo = states[satisfied & (((states >> t) & 1) == 0)]
-    hi = lo | (1 << t)
-    u = u.copy()
-    row_lo, row_hi = u[lo, :], u[hi, :]
-    u[lo, :] = block[0, 0] * row_lo + block[0, 1] * row_hi
-    u[hi, :] = block[1, 0] * row_lo + block[1, 1] * row_hi
-    return u
+        u[rows] *= np.exp(1j * gate.angle)
+        return
+    lo, hi = rows
+    row_lo = u[lo]
+    if gate.kind == "SIGX":
+        u[lo] = u[hi]
+        u[hi] = row_lo
+        return
+    block = _rotation_block(gate.kind, gate.angle)
+    row_hi = u[hi]
+    u[lo] = block[0, 0] * row_lo + block[0, 1] * row_hi
+    u[hi] = block[1, 0] * row_lo + block[1, 1] * row_hi
 
 
 def program_unitary(program: SeoProgram) -> np.ndarray:
-    """Multiply out all gates; the first listed gate acts first on states."""
+    """Multiply out all gates; the first listed gate acts first on states.
+
+    Each LOOP body is multiplied out once and raised to its rep count, so
+    the walk holds one dense matrix per loop-nesting level.
+    """
     dim = 2 ** program.num_qubits
-    u = np.eye(dim, dtype=complex)
-    for gate in expand(program):
-        u = apply_gate(u, gate, program.num_qubits)
-    return u
+    row_cache: dict = {}
+
+    def product(items) -> np.ndarray:
+        u = np.eye(dim, dtype=complex)
+        for item in items:
+            if isinstance(item, Loop):
+                u = np.linalg.matrix_power(product(item.body), item.reps) @ u
+            else:
+                apply_gate(u, item, row_cache)
+        return u
+
+    return product(program.body)
 
 
 def frobenius_distance(u: np.ndarray, v: np.ndarray) -> float:

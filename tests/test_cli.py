@@ -86,6 +86,20 @@ class TestRun:
         assert out["Error"] == "skipped"
         assert "cap" in out["Message"]
 
+    def test_unwritable_prefix(self, tmp_path, capsys):
+        argv = base_args(tmp_path / "missing" / "out")
+        assert run(argv) != 0
+        assert "cannot write" in output_fields(capsys)["Message"]
+        assert not any(tmp_path.iterdir())
+
+    def test_verify_cap_too_large_for_memory(self, tmp_path, capsys):
+        argv = base_args(tmp_path / "big", **{"--max-verify-qubits": "40"})
+        assert run(argv) != 0
+        out = output_fields(capsys)
+        assert "--max-verify-qubits 40" in out["Message"]
+        assert "GiB" in out["Message"]
+        assert not any(tmp_path.iterdir())
+
     def test_loop_line_in_english_file(self, tmp_path, capsys):
         run(base_args(tmp_path / "lp", **{"--meta-trots": "8"}))
         capsys.readouterr()

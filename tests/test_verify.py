@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from nandfruit import (
+    FruitSpec,
     Gate,
+    Loop,
     SeoProgram,
     build_line_hamiltonian,
+    compile_fruit,
     compile_shift,
+    expand,
     expi_hermitian,
     frobenius_distance,
     program_unitary,
@@ -84,6 +88,85 @@ class TestProgramUnitary:
         ])
         u = program_unitary(prog)
         assert frobenius_distance(u.conj().T @ u, np.eye(8)) <= 1e-10
+
+
+_PAULI = {
+    "ROTX": np.array([[0, 1], [1, 0]], dtype=complex),
+    "ROTY": np.array([[0, -1j], [1j, 0]]),
+    "ROTZ": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _gate_matrix(gate, num_qubits):
+    """Dense matrix of one gate, column by column from its definition."""
+    dim = 2 ** num_qubits
+    if gate.kind == "SIGX":
+        block = _PAULI["ROTX"]
+    elif gate.kind != "PHAS":
+        block = (np.cos(gate.angle / 2) * np.eye(2)
+                 - 1j * np.sin(gate.angle / 2) * _PAULI[gate.kind])
+    g = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        if not all(((s >> q) & 1) == pol for q, pol in gate.controls):
+            g[s, s] = 1
+        elif gate.kind == "PHAS":
+            g[s, s] = np.exp(1j * gate.angle)
+        else:
+            t = gate.target
+            bit, base = (s >> t) & 1, s & ~(1 << t)
+            g[base, s] = block[0, bit]
+            g[base | (1 << t), s] = block[1, bit]
+    return g
+
+
+def flat_unitary(program):
+    """Unroll every loop and multiply the per-gate matrices one at a time."""
+    matrices = {}
+    u = np.eye(2 ** program.num_qubits, dtype=complex)
+    for gate in expand(program):
+        if gate not in matrices:
+            matrices[gate] = _gate_matrix(gate, program.num_qubits)
+        u = matrices[gate] @ u
+    return u
+
+
+class TestLoopAwareProduct:
+    def test_nested_loops_all_gate_kinds(self):
+        inner = Loop(2, 2, [
+            Gate("ROTY", 0, -1.1, ((2, False),)),
+            Gate("PHAS", None, 0.4),
+            Gate("ROTZ", 1, 2.2, ((0, True), (2, True))),
+        ])
+        outer = Loop(1, 3, [
+            Gate("SIGX", 1, None, ((0, True),)),
+            inner,
+            Gate("PHAS", 2, -0.7, ((1, False),)),
+        ])
+        prog = SeoProgram(3, [Gate("ROTX", 2, 0.3), outer, Gate("SIGX", 0)])
+        prog.validate()
+        assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
+
+    def test_empty_loop_body(self):
+        prog = SeoProgram(2, [
+            Gate("ROTX", 0, 0.5), Loop(1, 4, []), Gate("SIGX", 1, None, ((0, True),)),
+        ])
+        assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
+
+    def test_compiled_program_with_out_of_order_loop_ids(self):
+        spec = FruitSpec("t", 3, 3, 0.2, 2, "0,1;3,3", nt_line=4, r_line=2,
+                         nt_tree=4, nt_meta=4, r_meta=4)
+        prog, _ = compile_fruit(spec)
+        ids = []
+
+        def collect(items):
+            for item in items:
+                if isinstance(item, Loop):
+                    ids.append(item.id)
+                    collect(item.body)
+
+        collect(prog.body)
+        assert ids != sorted(ids)
+        assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
 
 
 class TestNorms:
