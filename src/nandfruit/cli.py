@@ -5,6 +5,7 @@ Log / English / Picture file triple, and print the four run outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compilers import compile_fruit
@@ -44,6 +45,46 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_MAX_VERIFY_QUBITS,
                    help="skip verification above this register size")
     return p
+
+
+def write_outputs(program, report, spec: FruitSpec) -> None:
+    """Write the English, Picture and Log files all-or-nothing.
+
+    Files an earlier run left under these names are first renamed to
+    temporary names in the same directory.  If any step fails, the new files
+    are removed and the earlier ones renamed back, so the directory holds
+    either the whole new triple or the earlier one.  The writers are given
+    the final names, not temporary ones renamed afterwards, because
+    perfbench/tracer.py reads each file back under the name its writer got.
+    """
+    prefix = spec.file_prefix
+    writes = [
+        (f"{prefix}_qfru_eng.txt", lambda path: write_english(program, path)),
+        (f"{prefix}_qfru_pic.txt", lambda path: write_picture(program, path)),
+        (f"{prefix}_qfru_log.txt", lambda path: write_log(report, spec, path)),
+    ]
+    moved: list[tuple[str, str]] = []
+    started: list[str] = []
+    try:
+        for path, _ in writes:
+            if os.path.isfile(path):
+                aside = f"{path}.{os.getpid()}.old"
+                os.replace(path, aside)
+                moved.append((path, aside))
+        for path, write in writes:
+            started.append(path)
+            write(path)
+    except OSError:
+        # every regular file at a started path was moved aside, so any
+        # there now is a new, possibly partial, file of this run
+        for path in started:
+            if os.path.isfile(path):
+                os.remove(path)
+        for path, aside in moved:
+            os.replace(aside, path)
+        raise
+    for _, aside in moved:
+        os.remove(aside)
 
 
 def run(argv=None) -> int:
@@ -87,9 +128,7 @@ def run(argv=None) -> int:
         report.error = verify_compile(blocks.fruit, program)
 
     try:
-        write_english(program, f"{spec.file_prefix}_qfru_eng.txt")
-        write_picture(program, f"{spec.file_prefix}_qfru_pic.txt")
-        write_log(report, spec, f"{spec.file_prefix}_qfru_log.txt")
+        write_outputs(program, report, spec)
     except OSError as exc:
         print(f"Message: {exc}")
         return 1

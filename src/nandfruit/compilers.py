@@ -110,19 +110,26 @@ def pad_controls(fragment: SeoProgram, pad_qubits: Iterable[int]) -> SeoProgram:
     pads = sorted(set(pad_qubits))
     if not pads:
         return fragment
+    pad_set = set(pads)
     extra = tuple((q, False) for q in pads)
+    # one padded gate per distinct gate object, so shared gates stay shared
+    padded: dict[int, Gate] = {}
+
+    def pad(gate: Gate) -> Gate:
+        out = padded.get(id(gate))
+        if out is None:
+            clash = gate.qubits() & pad_set
+            if clash:
+                raise ValueError(f"pad qubits {sorted(clash)} already in use")
+            out = padded[id(gate)] = gate.with_extra_controls(extra)
+        return out
 
     def rewrite(items):
-        out = []
-        for item in items:
-            if isinstance(item, Loop):
-                out.append(Loop(item.id, item.reps, rewrite(item.body)))
-            else:
-                clash = item.qubits() & set(pads)
-                if clash:
-                    raise ValueError(f"pad qubits {sorted(clash)} already in use")
-                out.append(item.with_extra_controls(extra))
-        return out
+        return [
+            Loop(item.id, item.reps, rewrite(item.body))
+            if isinstance(item, Loop) else pad(item)
+            for item in items
+        ]
 
     num_qubits = max(fragment.num_qubits, pads[-1] + 1)
     return SeoProgram(num_qubits, rewrite(fragment.body))
@@ -145,13 +152,34 @@ def conjugate_by_shift(fragment: SeoProgram, k: int, num_qubits: int) -> SeoProg
     return SeoProgram(num_qubits, back.body + fragment.body + fwd.body)
 
 
+def _per_time(emit: Callable[[float], list]) -> Callable[[float], list]:
+    """emit, evaluated once per distinct time and shared afterwards.
+
+    Keyed on the exact bits of t: 0.0 == -0.0, but the two render
+    differently (an order >= 4 formula at zero coupling has both).  The
+    cache lives as long as the returned function, which every compile call
+    makes afresh.
+    """
+    bodies: dict[str, list] = {}
+
+    def memo(t: float) -> list:
+        key = float(t).hex()
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = emit(t)
+        return body
+
+    return memo
+
+
 @dataclass
 class SuzukiEmitters:
     """The two exponential factors a product formula alternates between.
 
     emit_a(t) and emit_b(t) return program bodies (lists of items) realizing
     the respective factor at coupling t.  Both must be time-symmetric
-    (emitter(-t) inverts emitter(t)) for orders above 2 to hold.
+    (emitter(-t) inverts emitter(t)) for orders above 2 to hold.  An emitter
+    may return the same list for equal times; callers must not mutate it.
     """
 
     num_qubits: int
@@ -245,17 +273,13 @@ def line_emitters(nb_line: int) -> SuzukiEmitters:
     even, odd = edges[0::2], edges[1::2]
     return SuzukiEmitters(
         num_qubits=nb_line,
-        emit_a=lambda t: _rotations(even, t, nb_line),
-        emit_b=lambda t: _rotations(odd, t, nb_line),
+        emit_a=_per_time(lambda t: _rotations(even, t, nb_line)),
+        emit_b=_per_time(lambda t: _rotations(odd, t, nb_line)),
     )
 
 
 def compile_line(
-    layout: FruitLayout,
-    g_eff: float,
-    r_line: int,
-    nt_line: int,
-    ids: Iterator[int] | None = None,
+    layout: FruitLayout, g_eff: float, r_line: int, nt_line: int
 ) -> SeoProgram:
     """Product-formula approximant of the line-block exponential.
 
@@ -263,7 +287,7 @@ def compile_line(
     the caller via pad_controls / conjugate_by_shift.
     """
     em = line_emitters(layout.nb_line)
-    return trotterize(lambda t: suzuki(r_line, t, em), g_eff, nt_line, ids)
+    return trotterize(lambda t: suzuki(r_line, t, em), g_eff, nt_line)
 
 
 def tree_emitters(nb_tree: int) -> SuzukiEmitters:
@@ -283,23 +307,18 @@ def tree_emitters(nb_tree: int) -> SuzukiEmitters:
     odd = [classes.get((1, 0), []), classes.get((1, 1), [])]
     return SuzukiEmitters(
         num_qubits=nb_tree,
-        emit_a=lambda t: _symmetric_chain(even, t, nb_tree),
-        emit_b=lambda t: _symmetric_chain(odd, t, nb_tree),
+        emit_a=_per_time(lambda t: _symmetric_chain(even, t, nb_tree)),
+        emit_b=_per_time(lambda t: _symmetric_chain(odd, t, nb_tree)),
     )
 
 
-def compile_tree(
-    layout: FruitLayout,
-    g_eff: float,
-    nt_tree: int,
-    ids: Iterator[int] | None = None,
-) -> SeoProgram:
+def compile_tree(layout: FruitLayout, g_eff: float, nt_tree: int) -> SeoProgram:
     """Order-4 product-formula approximant of the tree-block exponential.
 
     Acts on the nb_tree low qubits in heap indexing (dud at state 0).
     """
     em = tree_emitters(layout.nb_tree)
-    return trotterize(lambda t: suzuki(TREE_ORDER, t, em), g_eff, nt_tree, ids)
+    return trotterize(lambda t: suzuki(TREE_ORDER, t, em), g_eff, nt_tree)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -310,6 +329,10 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     factor is the exact glue and oracle rotations in global indices.  The
     two factors feed a meta product formula of order r_meta, repeated
     nt_meta times via Trotter's trick.
+
+    Each factor is built once per distinct time and shared: the program may
+    hold the same Gate objects and loop-body lists in many places, so treat
+    it as immutable.
     """
     spec.validate()
     layout = FruitLayout.from_counts(spec.nb_line, spec.nb_tree)
@@ -323,16 +346,26 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     line_pads = range(spec.nb_line, nb_total)
     tree_pads = range(spec.nb_tree, nb_total)
 
-    def emit_bulk(t: float) -> list:
-        line = pad_controls(compile_line(layout, t, spec.r_line, spec.nt_line, ids),
+    @_per_time
+    def bulk(t: float) -> list:
+        line = pad_controls(compile_line(layout, t, spec.r_line, spec.nt_line),
                             line_pads)
         tree = conjugate_by_shift(
-            pad_controls(compile_tree(layout, t, spec.nt_tree, ids), tree_pads),
+            pad_controls(compile_tree(layout, t, spec.nt_tree), tree_pads),
             layout.tree_offset,
             nb_total,
         )
         return line.body + tree.body
 
+    def emit_bulk(t: float) -> list:
+        # every copy gets its own line/tree loop ids, drawn in build order
+        # (line, then tree); the loop bodies hold no loops and are shared
+        return [
+            Loop(next(ids), item.reps, item.body) if isinstance(item, Loop) else item
+            for item in bulk(t)
+        ]
+
+    @_per_time
     def emit_corr(t: float) -> list:
         return (
             compile_glue(layout, spec.door, t).body

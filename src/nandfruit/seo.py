@@ -86,7 +86,13 @@ class SeoProgram:
     body: list = field(default_factory=list)
 
     def validate(self) -> None:
+        """Check loop ids are unique, reps positive and qubits in range.
+
+        Every Loop is visited; each distinct Gate object is range-checked
+        once, since compiled programs share gates between many items.
+        """
         seen_ids = set()
+        checked_gates = set()
 
         def check(items):
             for item in items:
@@ -97,13 +103,14 @@ class SeoProgram:
                         raise ValueError(f"loop {item.id} has reps < 1")
                     seen_ids.add(item.id)
                     check(item.body)
-                else:
+                elif id(item) not in checked_gates:
                     for q in item.qubits():
                         if not 0 <= q < self.num_qubits:
                             raise ValueError(
                                 f"gate touches qubit {q} outside register of "
                                 f"{self.num_qubits}"
                             )
+                    checked_gates.add(id(item))
 
         check(self.body)
 
@@ -119,15 +126,22 @@ class CompileReport:
 
 
 def count_elementary_ops(program: SeoProgram) -> int:
-    """Gate count with every loop body weighted by its repetition count."""
+    """Gate count with every loop body weighted by its repetition count.
+
+    A loop-body list shared by several loops is counted once.
+    """
+    counts: dict[int, int] = {}
 
     def count(items) -> int:
-        total = 0
-        for item in items:
-            if isinstance(item, Loop):
-                total += item.reps * count(item.body)
-            else:
-                total += 1
+        total = counts.get(id(items))
+        if total is None:
+            total = 0
+            for item in items:
+                if isinstance(item, Loop):
+                    total += item.reps * count(item.body)
+                else:
+                    total += 1
+            counts[id(items)] = total
         return total
 
     return count(program.body)
@@ -165,15 +179,28 @@ def _gate_line(gate: Gate) -> str:
     return " ".join(parts)
 
 
-def _item_lines(items, render_gate):
-    lines = []
-    for item in items:
-        if isinstance(item, Loop):
-            lines.append(f"LOOP {item.id} REPS: {item.reps}")
-            lines += _item_lines(item.body, render_gate)
-            lines.append(f"NEXT {item.id}")
-        else:
-            lines.append(render_gate(item))
+def _item_lines(items, render_gate) -> list[str]:
+    """One line per item; each distinct Gate object is rendered once.
+
+    Keyed on identity, not equality: gates with angles 0.0 and -0.0 are
+    equal but render differently.
+    """
+    rendered: dict[int, str] = {}
+    lines: list[str] = []
+
+    def walk(items):
+        for item in items:
+            if isinstance(item, Loop):
+                lines.append(f"LOOP {item.id} REPS: {item.reps}")
+                walk(item.body)
+                lines.append(f"NEXT {item.id}")
+            else:
+                line = rendered.get(id(item))
+                if line is None:
+                    line = rendered[id(item)] = render_gate(item)
+                lines.append(line)
+
+    walk(items)
     return lines
 
 

@@ -14,7 +14,7 @@ from .seo import Gate, Loop, SeoProgram, expand  # noqa: F401
 DEFAULT_MAX_VERIFY_QUBITS = 10
 
 # largest cap accepted at all: a 13-qubit dense complex matrix takes 1 GiB,
-# and program_unitary holds one per loop-nesting level
+# and program_unitary holds one per loop-nesting level and distinct loop body
 MAX_VERIFY_QUBITS = 13
 
 
@@ -99,17 +99,23 @@ def apply_gate(u: np.ndarray, gate: Gate, row_cache: dict) -> None:
 def program_unitary(program: SeoProgram) -> np.ndarray:
     """Multiply out all gates; the first listed gate acts first on states.
 
-    Each LOOP body is multiplied out once and raised to its rep count, so
-    the walk holds one dense matrix per loop-nesting level.
+    Each LOOP body is multiplied out once and raised to its rep count; a
+    body list shared by several loops is multiplied out once per call, so
+    the walk holds one dense matrix per loop-nesting level plus one per
+    distinct loop body.
     """
     dim = 2 ** program.num_qubits
     row_cache: dict = {}
+    body_products: dict[int, np.ndarray] = {}
 
     def product(items) -> np.ndarray:
         u = np.eye(dim, dtype=complex)
         for item in items:
             if isinstance(item, Loop):
-                u = np.linalg.matrix_power(product(item.body), item.reps) @ u
+                body = body_products.get(id(item.body))
+                if body is None:
+                    body = body_products[id(item.body)] = product(item.body)
+                u = np.linalg.matrix_power(body, item.reps) @ u
             else:
                 apply_gate(u, item, row_cache)
         return u

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from nandfruit import count_elementary_ops, parse_english
+from nandfruit import cli, count_elementary_ops, parse_english
 from nandfruit.cli import run
 
 
@@ -90,6 +90,43 @@ class TestRun:
         argv = base_args(tmp_path / "missing" / "out")
         assert run(argv) != 0
         assert "cannot write" in output_fields(capsys)["Message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("failing", ["rename", "log writer"])
+    def test_failed_write_keeps_earlier_files(self, tmp_path, capsys, monkeypatch, failing):
+        # the directory stops taking renames (what an unwritable directory
+        # refuses), or the third file fails after the first two are written
+        prefix = tmp_path / "demo"
+        assert run(base_args(prefix)) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 3
+
+        def refuse(*args):
+            raise PermissionError(13, "Permission denied")
+
+        if failing == "rename":
+            monkeypatch.setattr(cli.os, "replace", refuse)
+        else:
+            monkeypatch.setattr(cli, "write_log", lambda *args: refuse())
+        capsys.readouterr()
+        assert run(base_args(prefix, **{"--meta-trots": "3"})) == 1
+        assert "Permission denied" in output_fields(capsys)["Message"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_rewrite_replaces_all_three_files(self, tmp_path, capsys):
+        prefix = tmp_path / "demo"
+        run(base_args(prefix))
+        run(base_args(prefix, **{"--meta-trots": "3"}))
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"demo_qfru_{suffix}.txt" for suffix in ("eng", "log", "pic")]
+        assert "meta_trots: 3" in (tmp_path / "demo_qfru_log.txt").read_text()
+        assert "REPS: 3" in (tmp_path / "demo_qfru_eng.txt").read_text()
+
+    @pytest.mark.parametrize("flag", ["--line-qubits", "--tree-qubits"])
+    def test_oversized_register_rejected(self, tmp_path, capsys, flag):
+        assert run(base_args(tmp_path / "big", **{flag: "40"})) == 1
+        assert "exceeds 14" in output_fields(capsys)["Message"]
         assert not any(tmp_path.iterdir())
 
     def test_verify_cap_too_large_for_memory(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from nandfruit import (
     FruitLayout,
     FruitSpec,
     InputError,
+    Loop,
     SeoProgram,
     SuzukiEmitters,
     assemble_fruit,
@@ -29,6 +31,8 @@ from nandfruit import (
     suzuki,
     two_state_rotation,
     verify_compile,
+    write_english,
+    write_picture,
 )
 from nandfruit.hamiltonian import SparseSymmetric
 from nandfruit.seo import Gate
@@ -353,3 +357,87 @@ class TestEmbeddingIdentity:
         expected = np.eye(32, dtype=complex)
         expected[offset:offset + 8, offset:offset + 8] = u_block
         assert frobenius_distance(u, expected) <= 1e-12
+
+
+def readme_spec(**kw):
+    """The README example; kw overrides fields."""
+    base = dict(
+        file_prefix="t", nb_line=3, nb_tree=3, g=0.2, door=2, bands_text="0,1;3,3",
+        nt_line=4, r_line=2, nt_tree=4, nt_meta=4, r_meta=2,
+    )
+    base.update(kw)
+    return FruitSpec(**base)
+
+
+def file_hashes(spec, tmp_path):
+    program, _ = compile_fruit(spec)
+    write_english(program, tmp_path / "eng.txt")
+    write_picture(program, tmp_path / "pic.txt")
+    return tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("eng.txt", "pic.txt")
+    )
+
+
+# SHA-256 of the English and Picture files from before the compiler shared
+# repeated bodies; the zero-coupling spec has both 0.0 and -0.0 angles
+GOLDEN = {
+    "readme-meta4": (
+        dict(r_meta=4),
+        "af9b5af6e29228bc185d285c704e83cb7d012bc54fa8693e0090c5e6f83829a9",
+        "aa1601e5457de93b8d53d7e7ad0e04c3e97d5e2f0d2f383355a3bebaa0f26767",
+    ),
+    "readme-meta4-line4": (
+        dict(r_meta=4, nb_line=4),
+        "9476b2bf33c22c76eb96c35a6d1a747e6d797b9438be792cd0f501ac45eb1d5e",
+        "15311d0bb70b55f50ad91ab54ef43c309090260d24791f467e37c27d801e94e9",
+    ),
+    "zero-coupling-meta6": (
+        dict(g=0.0, r_line=4, r_meta=6),
+        "18e5e570183245ea400b262d7313706899c5c2dba08305d45fa7b2d1f8114bbb",
+        "bd9f739d9789032d448408848375f35beaf8465d5f0782c57071972916a943a6",
+    ),
+}
+
+
+def meta_body_loops(program):
+    """The line and tree loops of the bulk copies inside the meta loop."""
+    (meta,) = program.body
+    return [item for item in meta.body if isinstance(item, Loop)]
+
+
+class TestSharedBodies:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_files_byte_identical_to_unshared_compiler(self, name, tmp_path):
+        over, eng, pic = GOLDEN[name]
+        assert file_hashes(readme_spec(**over), tmp_path) == (eng, pic)
+
+    def test_equal_time_line_loops_share_one_body(self):
+        # meta order 2: bulk(t/2) corr(t) bulk(t/2), so both bulk copies
+        # hold a line loop and a tree loop at the same time
+        loops = meta_body_loops(compile_fruit(readme_spec())[0])
+        line_a, tree_a, line_b, tree_b = loops
+        assert line_a.body is line_b.body
+        assert tree_a.body is tree_b.body
+        assert len({loop.id for loop in loops}) == 4
+
+    def test_meta_order_4_builds_two_bulk_bodies(self):
+        # ten bulk copies at two distinct times: 20 loops, 4 distinct bodies
+        loops = meta_body_loops(compile_fruit(readme_spec(r_meta=4))[0])
+        assert len(loops) == 20
+        assert len({id(loop.body) for loop in loops}) == 4
+
+    def test_no_cache_outlives_a_compile_call(self, tmp_path):
+        # B has A's times on a larger register, so a cache kept between
+        # calls would hand one spec's gates to the other: to B if the first
+        # entry wins, to the second A if the last one does
+        a, b = "readme-meta4", "readme-meta4-line4"
+        for name in (a, b, a):
+            over, eng, pic = GOLDEN[name]
+            assert file_hashes(readme_spec(**over), tmp_path) == (eng, pic), name
+
+    def test_pad_controls_pads_each_shared_gate_once(self):
+        gate = Gate("ROTX", 0, 0.3, ((1, True),))
+        padded = pad_controls(SeoProgram(2, [gate, gate]), [2, 3])
+        assert padded.body[0] is padded.body[1]
+        assert padded.body[0].controls == ((3, False), (2, False), (1, True))

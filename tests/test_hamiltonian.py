@@ -118,9 +118,12 @@ class TestParseBands:
         with pytest.raises(InputError, match="exceeds"):
             parse_bands("0,4", 4)
 
-    def test_negative(self):
-        with pytest.raises(InputError, match="negative"):
-            parse_bands("-1,2", 4)
+    def test_dash_separates_integers(self):
+        # a dash is a separator like any other non-digit, never a sign
+        dashed = parse_bands("0-3", 4).x
+        assert dashed == parse_bands("0,3", 4).x == parse_bands("0 3", 4).x
+        assert dashed == [True] * 4
+        assert parse_bands("-1,2", 4).x == [False, True, True, False]
 
 
 class TestQubitCount:

@@ -38,6 +38,11 @@ class TestCounting:
         prog = SeoProgram(2, [Loop(0, 3, [Loop(1, 4, [g(), g(target=1)])])])
         assert count_elementary_ops(prog) == 24
 
+    def test_shared_body_weighted_per_loop(self):
+        body = [g(), g(target=1)]
+        prog = SeoProgram(2, [Loop(0, 2, body), g(), Loop(1, 3, body)])
+        assert count_elementary_ops(prog) == 11 == len(expand(prog))
+
     def test_count_equals_expansion_length(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -77,6 +82,18 @@ class TestGateInvariants:
     def test_program_rejects_duplicate_loop_id(self):
         prog = SeoProgram(1, [Loop(3, 2, [g()]), Loop(3, 2, [g()])])
         with pytest.raises(ValueError):
+            prog.validate()
+
+    def test_shared_body_with_a_loop_repeats_its_id(self):
+        inner = [Loop(5, 2, [g()])]
+        prog = SeoProgram(1, [Loop(0, 1, inner), Loop(1, 1, inner)])
+        with pytest.raises(ValueError, match="duplicate loop id 5"):
+            prog.validate()
+
+    def test_shared_out_of_range_gate_rejected(self):
+        bad = g(target=1)
+        prog = SeoProgram(1, [Loop(0, 2, [bad]), Loop(1, 2, [bad])])
+        with pytest.raises(ValueError, match="qubit 1"):
             prog.validate()
 
 
@@ -137,6 +154,17 @@ class TestFiles:
         lines = path.read_text().splitlines()
         assert lines[1] == "LOOP 7 REPS: 4"
         assert lines[3] == "NEXT 7"
+
+    def test_signed_zero_angles_render_apart(self, tmp_path):
+        # equal as gates, since 0.0 == -0.0, but written with their signs
+        plus, minus = g("ROTX", angle=0.0), g("ROTX", angle=-0.0)
+        assert plus == minus
+        prog = SeoProgram(1, [plus, minus, plus, minus])
+        write_english(prog, tmp_path / "e.txt")
+        lines = (tmp_path / "e.txt").read_text().splitlines()[1:]
+        assert lines == ["ROTX 0 AT 0", "ROTX -0 AT 0"] * 2
+        signs = [math.copysign(1, gate.angle) for gate in parse_english(tmp_path / "e.txt").body]
+        assert signs == [1, -1, 1, -1]
 
     def test_angle_round_trip(self, tmp_path):
         angle = 1.5707963267948966

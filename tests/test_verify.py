@@ -146,6 +146,13 @@ class TestLoopAwareProduct:
         prog.validate()
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
 
+    def test_body_shared_by_loops_with_different_reps(self):
+        body = [Gate("ROTX", 0, 0.7, ((1, True),)), Gate("SIGX", 1, None, ((0, False),))]
+        prog = SeoProgram(2, [
+            Loop(0, 3, body), Gate("ROTY", 1, 0.2), Loop(1, 2, body),
+        ])
+        assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
+
     def test_empty_loop_body(self):
         prog = SeoProgram(2, [
             Gate("ROTX", 0, 0.5), Loop(1, 4, []), Gate("SIGX", 1, None, ((0, True),)),
