@@ -10,23 +10,19 @@ are not allowed anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .hamiltonian import (
+    TREE_ORDER,
     FruitLayout,
     FruitSpec,
     InputError,
     NandInputs,
-    gray_code,
-    parse_bands,
+    line_edges,
     tree_edges,
 )
 from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
-
-# the binary tree always gets this product-formula order
-TREE_ORDER = 4
 
 
 def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProgram:
@@ -126,7 +122,7 @@ def pad_controls(fragment: SeoProgram, pad_qubits: Iterable[int]) -> SeoProgram:
 
     def rewrite(items):
         return [
-            Loop(item.id, item.reps, rewrite(item.body))
+            Loop(item.reps, rewrite(item.body))
             if isinstance(item, Loop) else pad(item)
             for item in items
         ]
@@ -193,13 +189,7 @@ def _suzuki_body(order: int, t: float, em: SuzukiEmitters) -> list:
     p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
     outer = _suzuki_body(order - 2, p * t, em)
     middle = _suzuki_body(order - 2, (1.0 - 4.0 * p) * t, em)
-    return (
-        outer
-        + _suzuki_body(order - 2, p * t, em)
-        + middle
-        + _suzuki_body(order - 2, p * t, em)
-        + _suzuki_body(order - 2, p * t, em)
-    )
+    return outer + outer + middle + outer + outer
 
 
 def suzuki(order: int, t: float, em: SuzukiEmitters) -> SeoProgram:
@@ -214,10 +204,7 @@ def suzuki(order: int, t: float, em: SuzukiEmitters) -> SeoProgram:
 
 
 def trotterize(
-    builder: Callable[[float], SeoProgram],
-    g: float,
-    n_trots: int,
-    ids: Iterator[int] | None = None,
+    builder: Callable[[float], SeoProgram], g: float, n_trots: int
 ) -> SeoProgram:
     """Raise a scaled approximant to the n_trots-th power via a LOOP."""
     if n_trots < 1:
@@ -225,9 +212,7 @@ def trotterize(
     single = builder(g / n_trots)
     if n_trots == 1:
         return single
-    if ids is None:
-        ids = itertools.count()
-    return SeoProgram(single.num_qubits, [Loop(next(ids), n_trots, single.body)])
+    return SeoProgram(single.num_qubits, [Loop(n_trots, single.body)])
 
 
 def _rotations(
@@ -268,8 +253,7 @@ def line_emitters(nb_line: int) -> SuzukiEmitters:
     Alternating edges never share a node, so each factor is an exact product
     of one-bit two-state rotations (single multiply-controlled ROTX each).
     """
-    seq = gray_code(nb_line)
-    edges = list(zip(seq, seq[1:]))
+    edges = line_edges(nb_line)
     even, odd = edges[0::2], edges[1::2]
     return SuzukiEmitters(
         num_qubits=nb_line,
@@ -331,18 +315,11 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     nt_meta times via Trotter's trick.
 
     Each factor is built once per distinct time and shared: the program may
-    hold the same Gate objects and loop-body lists in many places, so treat
+    hold the same Gate, Loop and loop-body objects in many places, so treat
     it as immutable.
     """
-    spec.validate()
-    layout = FruitLayout.from_counts(spec.nb_line, spec.nb_tree)
-    x = parse_bands(spec.bands_text, layout.ns_lvs)
-    if not 0 <= spec.door < layout.ns_line:
-        raise InputError(
-            f"line door must lie in [0, {layout.ns_line - 1}], got {spec.door}"
-        )
+    layout, x = spec.resolve()
     nb_total = layout.nb_total
-    ids = itertools.count()
     line_pads = range(spec.nb_line, nb_total)
     tree_pads = range(spec.nb_tree, nb_total)
 
@@ -357,27 +334,12 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
         )
         return line.body + tree.body
 
-    def emit_bulk(t: float) -> list:
-        # every copy gets its own line/tree loop ids, drawn in build order
-        # (line, then tree); the loop bodies hold no loops and are shared
-        return [
-            Loop(next(ids), item.reps, item.body) if isinstance(item, Loop) else item
-            for item in bulk(t)
-        ]
-
     @_per_time
     def emit_corr(t: float) -> list:
-        return (
-            compile_glue(layout, spec.door, t).body
-            + compile_oracle(layout, x, t).body
-        )
+        return (compile_glue(layout, spec.door, t).body
+                + compile_oracle(layout, x, t).body)
 
-    em = SuzukiEmitters(num_qubits=nb_total, emit_a=emit_bulk, emit_b=emit_corr)
-    program = trotterize(lambda t: suzuki(spec.r_meta, t, em), spec.g,
-                         spec.nt_meta, ids)
+    em = SuzukiEmitters(num_qubits=nb_total, emit_a=bulk, emit_b=emit_corr)
+    program = trotterize(lambda t: suzuki(spec.r_meta, t, em), spec.g, spec.nt_meta)
     program.validate()
-    report = CompileReport(
-        num_qubits=nb_total,
-        num_elementary_ops=count_elementary_ops(program),
-    )
-    return program, report
+    return program, CompileReport(nb_total, count_elementary_ops(program))

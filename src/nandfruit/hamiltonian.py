@@ -25,6 +25,14 @@ class InputError(ValueError):
 # gray_code instead of an InputError.
 MAX_BLOCK_QUBITS = 14
 
+# Largest English file accepted, in lines: english_line_bound() of the spec
+# above with trot counts above 1, so every register admitted at the smallest
+# orders stays admitted.  Each +2 in an order multiplies the lines by 5.
+MAX_ENGLISH_LINES = 5_470_136
+
+# the binary tree always gets this product-formula order
+TREE_ORDER = 4
+
 
 def gray_code(n: int) -> list[int]:
     """Binary-reflected Gray sequence of length 2**n, starting at 0.
@@ -47,6 +55,14 @@ class SparseSymmetric:
     dim: int
     off_diagonal: dict[tuple[int, int], float] = field(default_factory=dict)
     diagonal: dict[int, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_edges(cls, dim: int, edges: list, w: float) -> SparseSymmetric:
+        """The matrix with weight w on every edge (i, j) and zeros elsewhere."""
+        h = cls(dim)
+        for i, j in edges:
+            h.set_pair(i, j, w)
+        return h
 
     def set_pair(self, i: int, j: int, w: float) -> None:
         if i == j:
@@ -135,15 +151,49 @@ class FruitSpec:
         for name, value in (("line", self.r_line), ("meta", self.r_meta)):
             if value < 2 or value % 2 != 0:
                 raise InputError(f"{name} order must be even and positive, got {value}")
-        for name, value in (
-            ("line", self.nt_line),
-            ("tree", self.nt_tree),
-            ("meta", self.nt_meta),
-        ):
+        for name, value in (("line", self.nt_line), ("tree", self.nt_tree),
+                            ("meta", self.nt_meta)):
             if value < 1:
                 raise InputError(f"{name} trot count must be positive, got {value}")
         if not np.isfinite(self.g):
             raise InputError("coupling constant must be finite")
+        if self.english_line_bound() > MAX_ENGLISH_LINES:
+            raise InputError(
+                f"line order {self.r_line} and meta order {self.r_meta} may write "
+                f"more than {MAX_ENGLISH_LINES:,} English lines, the most accepted"
+            )
+
+    def english_line_bound(self) -> int:
+        """Upper bound on the lines of the English file, found without compiling.
+
+        An order-r formula over factors A and B writes 5^(r/2-1) (2 lines(A) +
+        lines(B)) lines, its LOOP 2 more; exact but for shifts, glue and oracle.
+        """
+        layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
+        n = layout.nb_total
+
+        def formula(order, a2b, trots):  # capped: 5**20 lines fail anyway
+            return 5 ** min(order // 2 - 1, 20) * a2b + 2 * (trots > 1)
+
+        def rotation(a, b):  # gates of the two-state rotation
+            return 2 * bin(a ^ b).count("1") - 1
+
+        # one gate per Gray edge; A holds the even-indexed half
+        line = formula(self.r_line, 3 * 2 ** (self.nb_line - 1) - 1, self.nt_line)
+        # A holds edges below even-depth parents; left children count twice
+        tree_a2b = sum((1 + p.bit_length() % 2) * (2 - c % 2) * rotation(p, c)
+                       for p, c in tree_edges(self.nb_tree))
+        # plus two shift circuits of at most n (n + 1) / 2 gates each
+        tree = formula(TREE_ORDER, tree_a2b, self.nt_tree) + n * (n + 1)
+        corr = 2 * n - 1 + sum(rotation(layout.leaf_index(j), layout.extra_index(j))
+                               for j in range(layout.ns_lvs))
+        return 1 + formula(self.r_meta, 2 * (line + tree) + corr, self.nt_meta)
+
+    def resolve(self) -> tuple[FruitLayout, NandInputs]:
+        """Validate the spec, then build its layout and its NAND inputs."""
+        self.validate()
+        layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
+        return layout, parse_bands(self.bands_text, layout.ns_lvs)
 
 
 @dataclass(frozen=True)
@@ -161,7 +211,6 @@ class FruitLayout:
     ns_line: int
     ns_tree: int
     ns_lvs: int
-    nb_lvs: int
     tree_offset: int
     oracle_block_offset: int
     extra_offset: int
@@ -179,7 +228,6 @@ class FruitLayout:
             ns_line=ns_line,
             ns_tree=ns_tree,
             ns_lvs=ns_tree // 2,
-            nb_lvs=nb_tree - 1,
             tree_offset=ns_line,
             oracle_block_offset=ns_line + ns_tree // 2,
             extra_offset=ns_line + ns_tree,
@@ -216,13 +264,7 @@ def build_line_hamiltonian(nb_line: int, g: float) -> SparseSymmetric:
     Edge j connects the j-th and (j+1)-th states of the Gray sequence, so
     every edge joins states differing in a single bit.
     """
-    if nb_line < 1:
-        raise ValueError("nb_line must be >= 1")
-    seq = gray_code(nb_line)
-    h = SparseSymmetric(2 ** nb_line)
-    for u, v in zip(seq, seq[1:]):
-        h.set_pair(u, v, g)
-    return h
+    return SparseSymmetric.from_edges(2 ** nb_line, line_edges(nb_line), g)
 
 
 def build_tree_hamiltonian(nb_tree: int, g: float) -> SparseSymmetric:
@@ -233,20 +275,18 @@ def build_tree_hamiltonian(nb_tree: int, g: float) -> SparseSymmetric:
     """
     if nb_tree < 2:
         raise ValueError("nb_tree must be >= 2")
-    h = SparseSymmetric(2 ** nb_tree)
-    for j in range(1, 2 ** (nb_tree - 1)):
-        h.set_pair(j, 2 * j, g)
-        h.set_pair(j, 2 * j + 1, g)
-    return h
+    return SparseSymmetric.from_edges(2 ** nb_tree, tree_edges(nb_tree), g)
+
+
+def line_edges(nb_line: int) -> list[tuple[int, int]]:
+    """Consecutive pairs of the Gray sequence, in path order."""
+    seq = gray_code(nb_line)
+    return list(zip(seq, seq[1:]))
 
 
 def tree_edges(nb_tree: int) -> list[tuple[int, int]]:
     """Parent-child pairs (j, 2j) and (j, 2j+1) in heap order."""
-    out = []
-    for j in range(1, 2 ** (nb_tree - 1)):
-        out.append((j, 2 * j))
-        out.append((j, 2 * j + 1))
-    return out
+    return [(j, 2 * j + s) for j in range(1, 2 ** (nb_tree - 1)) for s in (0, 1)]
 
 
 # any run of non-digits separates two integers, so "0-3" is 0 and 3
@@ -309,9 +349,7 @@ def assemble_fruit(spec: FruitSpec) -> tuple[FruitLayout, FruitHamiltonians]:
     Hamiltonian is the entrywise sum of all blocks, padded with zeros up to
     the power-of-two dimension ns_total.
     """
-    spec.validate()
-    layout = FruitLayout.from_counts(spec.nb_line, spec.nb_tree)
-    x = parse_bands(spec.bands_text, layout.ns_lvs)
+    layout, x = spec.resolve()
     dim = layout.ns_total
 
     line = build_line_hamiltonian(spec.nb_line, spec.g).embedded(dim)
@@ -319,13 +357,10 @@ def assemble_fruit(spec: FruitSpec) -> tuple[FruitLayout, FruitHamiltonians]:
         dim, layout.tree_offset
     )
 
-    glue = SparseSymmetric(dim)
-    glue.set_pair(spec.door, layout.root_index, spec.g)
-
-    ora = SparseSymmetric(dim)
-    for k, bit in enumerate(x.x):
-        if bit:
-            ora.set_pair(layout.leaf_index(k), layout.extra_index(k), spec.g)
+    glue = SparseSymmetric.from_edges(dim, [(spec.door, layout.root_index)], spec.g)
+    ora_edges = [(layout.leaf_index(k), layout.extra_index(k))
+                 for k, bit in enumerate(x.x) if bit]
+    ora = SparseSymmetric.from_edges(dim, ora_edges, spec.g)
 
     bulk = line + tree
     corr = glue + ora

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .hamiltonian import TREE_ORDER
+
 GATE_KINDS = ("SIGX", "ROTX", "ROTY", "ROTZ", "PHAS")
 _ROTATIONS = ("ROTX", "ROTY", "ROTZ", "PHAS")
 
@@ -73,7 +75,6 @@ class Gate:
 class Loop:
     """A LOOP ... NEXT group; its body repeats `reps` times."""
 
-    id: int
     reps: int
     body: list = field(default_factory=list)
 
@@ -86,31 +87,29 @@ class SeoProgram:
     body: list = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check loop ids are unique, reps positive and qubits in range.
+        """Check loop reps are positive and qubits in range.
 
-        Every Loop is visited; each distinct Gate object is range-checked
-        once, since compiled programs share gates between many items.
+        Each distinct Loop and Gate object is checked once, since compiled
+        programs share them between many items.
         """
-        seen_ids = set()
-        checked_gates = set()
+        checked = set()
 
         def check(items):
             for item in items:
+                if id(item) in checked:
+                    continue
+                checked.add(id(item))
                 if isinstance(item, Loop):
-                    if item.id in seen_ids:
-                        raise ValueError(f"duplicate loop id {item.id}")
                     if item.reps < 1:
-                        raise ValueError(f"loop {item.id} has reps < 1")
-                    seen_ids.add(item.id)
+                        raise ValueError(f"loop has reps {item.reps} < 1")
                     check(item.body)
-                elif id(item) not in checked_gates:
+                else:
                     for q in item.qubits():
                         if not 0 <= q < self.num_qubits:
                             raise ValueError(
                                 f"gate touches qubit {q} outside register of "
                                 f"{self.num_qubits}"
                             )
-                    checked_gates.add(id(item))
 
         check(self.body)
 
@@ -179,36 +178,40 @@ def _gate_line(gate: Gate) -> str:
     return " ".join(parts)
 
 
-def _item_lines(items, render_gate) -> list[str]:
-    """One line per item; each distinct Gate object is rendered once.
+def _program_lines(program: SeoProgram, render_gate) -> list[str]:
+    """The header, then one line per item; each distinct Gate object is
+    rendered once (by identity: 0.0 and -0.0 are equal but render apart).
 
-    Keyed on identity, not equality: gates with angles 0.0 and -0.0 are
-    equal but render differently.
+    Each loop occurrence is numbered in the order the NEXT lines close, so
+    a Loop shared by several places gets one id per place.
     """
     rendered: dict[int, str] = {}
-    lines: list[str] = []
+    lines = [f"NUM_QUBITS {program.num_qubits}"]
+    closed = 0
 
     def walk(items):
+        nonlocal closed
         for item in items:
             if isinstance(item, Loop):
-                lines.append(f"LOOP {item.id} REPS: {item.reps}")
+                at = len(lines)
+                lines.append("")
                 walk(item.body)
-                lines.append(f"NEXT {item.id}")
+                lines[at] = f"LOOP {closed} REPS: {item.reps}"
+                lines.append(f"NEXT {closed}")
+                closed += 1
             else:
                 line = rendered.get(id(item))
                 if line is None:
                     line = rendered[id(item)] = render_gate(item)
                 lines.append(line)
 
-    walk(items)
+    walk(program.body)
     return lines
 
 
 def write_english(program: SeoProgram, path) -> None:
     """Write the textual gate program, one item per line after the header."""
-    lines = [f"NUM_QUBITS {program.num_qubits}"]
-    lines += _item_lines(program.body, _gate_line)
-    _write_lines(path, lines)
+    _write_lines(path, _program_lines(program, _gate_line))
 
 
 def _picture_line(gate: Gate, num_qubits: int) -> str:
@@ -233,9 +236,8 @@ def _picture_line(gate: Gate, num_qubits: int) -> str:
 
 def write_picture(program: SeoProgram, path) -> None:
     """Write the ASCII diagram; leftmost column is the highest qubit index."""
-    lines = [f"NUM_QUBITS {program.num_qubits}"]
-    lines += _item_lines(program.body, lambda g: _picture_line(g, program.num_qubits))
-    _write_lines(path, lines)
+    _write_lines(path, _program_lines(
+        program, lambda g: _picture_line(g, program.num_qubits)))
 
 
 def write_log(report: CompileReport, spec, path) -> None:
@@ -250,7 +252,7 @@ def write_log(report: CompileReport, spec, path) -> None:
         f"line_trots: {spec.nt_line}",
         f"line_order: {spec.r_line}",
         f"tree_trots: {spec.nt_tree}",
-        "tree_order: 4 (fixed internally)",
+        f"tree_order: {TREE_ORDER} (fixed internally)",
         f"meta_trots: {spec.nt_meta}",
         f"meta_order: {spec.r_meta}",
         f"num_qubits: {report.num_qubits}",
@@ -311,7 +313,7 @@ def _parse_gate(tokens: list[str], lineno: int) -> Gate:
 
 
 def parse_english(path) -> SeoProgram:
-    """Read an English file back into a program (inverse of write_english)."""
+    """Read an English file back into a program; loop ids are checked, then dropped."""
     with open(path) as f:
         raw_lines = f.read().splitlines()
     lines = [(i + 1, ln.split()) for i, ln in enumerate(raw_lines) if ln.strip()]
@@ -322,7 +324,7 @@ def parse_english(path) -> SeoProgram:
         raise SeoSyntaxError(f"line {lineno}: expected 'NUM_QUBITS <n>' header")
     program = SeoProgram(num_qubits=int(header[1]))
     stack: list[list] = [program.body]
-    open_loops: list[Loop] = []
+    open_ids: list[int] = []
     seen_ids: set[int] = set()
     for lineno, tokens in lines[1:]:
         word = tokens[0]
@@ -340,27 +342,27 @@ def parse_english(path) -> SeoProgram:
             if reps < 1:
                 raise SeoSyntaxError(f"line {lineno}: loop reps must be >= 1")
             seen_ids.add(loop_id)
-            loop = Loop(loop_id, reps)
+            loop = Loop(reps)
             stack[-1].append(loop)
             stack.append(loop.body)
-            open_loops.append(loop)
+            open_ids.append(loop_id)
         elif word == "NEXT":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise SeoSyntaxError(f"line {lineno}: expected 'NEXT <id>'")
-            if not open_loops:
+            if not open_ids:
                 raise SeoSyntaxError(f"line {lineno}: NEXT with no open LOOP")
-            if open_loops[-1].id != int(tokens[1]):
+            if open_ids[-1] != int(tokens[1]):
                 raise SeoSyntaxError(
                     f"line {lineno}: NEXT {tokens[1]} does not match open "
-                    f"LOOP {open_loops[-1].id}"
+                    f"LOOP {open_ids[-1]}"
                 )
-            open_loops.pop()
+            open_ids.pop()
             stack.pop()
         elif word in GATE_KINDS:
             stack[-1].append(_parse_gate(tokens, lineno))
         else:
             raise SeoSyntaxError(f"line {lineno}: unknown item {word!r}")
-    if open_loops:
-        raise SeoSyntaxError(f"unclosed LOOP {open_loops[-1].id} at end of file")
+    if open_ids:
+        raise SeoSyntaxError(f"unclosed LOOP {open_ids[-1]} at end of file")
     program.validate()
     return program

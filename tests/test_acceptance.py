@@ -166,7 +166,7 @@ def test_criterion_5_file_round_trip(tmp_path):
         assert count_elementary_ops(prog) == len(expand(prog))
     spot = SeoProgram(1, [
         Gate("SIGX", 0), Gate("SIGX", 0),
-        Loop(0, 5, [Gate("SIGX", 0)] * 3),
+        Loop(5, [Gate("SIGX", 0)] * 3),
     ])
     assert count_elementary_ops(spot) == 17
     report(5, "50 random programs round-tripped; loop counting spot value 17")

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -127,6 +128,14 @@ class TestRun:
     def test_oversized_register_rejected(self, tmp_path, capsys, flag):
         assert run(base_args(tmp_path / "big", **{flag: "40"})) == 1
         assert "exceeds 14" in output_fields(capsys)["Message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--line-order", "--meta-order"])
+    def test_oversized_order_rejected_at_once(self, tmp_path, capsys, flag):
+        start = time.perf_counter()
+        assert run(base_args(tmp_path / "big", **{flag: "20"})) == 1
+        assert time.perf_counter() - start < 1
+        assert "English lines" in output_fields(capsys)["Message"]
         assert not any(tmp_path.iterdir())
 
     def test_verify_cap_too_large_for_memory(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,10 +220,15 @@ class TestSuzuki:
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_coefficients_sum_to_t(self, order):
-        calls_a, calls_b = [], []
-        suzuki(order, 0.37, recording_emitters(calls_a, calls_b))
-        assert math.isclose(sum(calls_a), 0.37, rel_tol=1e-12)
-        assert math.isclose(sum(calls_b), 0.37, rel_tol=1e-12)
+        # each factor stands in the body as its (name, time); equal-time
+        # sub-bodies are built once, so the body is read, not the calls
+        em = SuzukiEmitters(num_qubits=1, emit_a=lambda t: [("a", t)],
+                            emit_b=lambda t: [("b", t)])
+        body = suzuki(order, 0.37, em).body
+        assert len(body) == 3 * 5 ** (order // 2 - 1)
+        for name in "ab":
+            times = [t for factor, t in body if factor == name]
+            assert math.isclose(sum(times), 0.37, rel_tol=1e-12)
 
     def test_trivial_emitters_identity(self):
         em = recording_emitters([], [])
@@ -330,9 +336,26 @@ class TestFruit:
         _, r8 = compile_fruit(make_spec(nt_meta=8))
         assert r8.num_elementary_ops == 8 * r1.num_elementary_ops
 
-    def test_loop_ids_unique(self):
-        prog, _ = compile_fruit(make_spec())
-        prog.validate()
+    @pytest.mark.parametrize("r_meta", [2, 4])
+    def test_written_loop_ids_count_up_in_next_order(self, r_meta, tmp_path):
+        prog, _ = compile_fruit(make_spec(r_meta=r_meta))
+        write_english(prog, tmp_path / "eng.txt")
+        text = (tmp_path / "eng.txt").read_text()
+        next_ids = [int(i) for i in re.findall(r"^NEXT (\d+)$", text, re.M)]
+        assert next_ids == list(range(len(next_ids))) and next_ids
+        assert sorted(re.findall(r"^LOOP (\d+) ", text, re.M)) == sorted(
+            re.findall(r"^NEXT (\d+)$", text, re.M))
+
+    def test_line_bound_covers_the_written_file(self, tmp_path):
+        path = tmp_path / "eng.txt"
+        for nb_line, nb_tree, (r_line, r_meta), trots, bands in itertools.product(
+            (1, 3), (2, 3), ((2, 2), (4, 2), (2, 4)), (1, 3), ("", "0,1")
+        ):
+            spec = make_spec(nb_line=nb_line, nb_tree=nb_tree, door=1, r_line=r_line,
+                             r_meta=r_meta, nt_line=trots, nt_tree=trots,
+                             nt_meta=trots, bands_text=bands)
+            write_english(compile_fruit(spec)[0], path)
+            assert len(path.read_text().splitlines()) <= spec.english_line_bound(), spec
 
     def test_deterministic(self):
         p1, _ = compile_fruit(make_spec())
@@ -369,33 +392,54 @@ def readme_spec(**kw):
     return FruitSpec(**base)
 
 
-def file_hashes(spec, tmp_path):
+def relabel_loops(data: bytes) -> bytes:
+    """The file with its loop ids renumbered 0, 1, ... by first LOOP line."""
+    ids: dict[bytes, int] = {}
+    return re.sub(
+        rb"^(LOOP|NEXT) (\d+)",
+        lambda m: b"%s %d" % (m[1], ids.setdefault(m[2], len(ids))),
+        data, flags=re.M,
+    )
+
+
+def file_hashes(spec, tmp_path, relabel=True):
     program, _ = compile_fruit(spec)
     write_english(program, tmp_path / "eng.txt")
     write_picture(program, tmp_path / "pic.txt")
     return tuple(
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        hashlib.sha256((relabel_loops if relabel else bytes)(
+            (tmp_path / name).read_bytes())).hexdigest()
         for name in ("eng.txt", "pic.txt")
     )
 
 
-# SHA-256 of the English and Picture files from before the compiler shared
-# repeated bodies; the zero-coupling spec has both 0.0 and -0.0 angles
+# SHA-256 of the English and Picture files of the README example, written
+# while loop ids were still drawn as the loops were built; at meta order 2
+# that order is the NEXT order the writers number by, so every byte stays
+README_FILES = (
+    "83aca53eb8f659e28d37e882f9b34a29c3351febaa414236009bf69aa3fec13f",
+    "2fcb6240be6a3aa1a23ef32c03ac9e815c082ee60636f48c033374155cf19301",
+)
+
+# SHA-256 of the English and Picture files written before the compiler
+# shared repeated bodies, with loop ids relabelled by first LOOP line (at
+# meta orders >= 4 the writers' NEXT-order ids permute the build-order ones);
+# the zero-coupling spec has both 0.0 and -0.0 angles
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "af9b5af6e29228bc185d285c704e83cb7d012bc54fa8693e0090c5e6f83829a9",
-        "aa1601e5457de93b8d53d7e7ad0e04c3e97d5e2f0d2f383355a3bebaa0f26767",
+        "654910a3b0cff3d255495a801fffefb324783c6cbf5d9cdc7be7e85f0218abc3",
+        "960b1632dd229ff1393b744a723fc62d8b8806a97af8a57d83298b5c66f0c574",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "9476b2bf33c22c76eb96c35a6d1a747e6d797b9438be792cd0f501ac45eb1d5e",
-        "15311d0bb70b55f50ad91ab54ef43c309090260d24791f467e37c27d801e94e9",
+        "18d67c5cb7fda79a185e26a1c04a9f58ce178ba4388414b06caf4dfd7cb9bcd0",
+        "cf9c7a42cdb9ed0e9b104f9a3ee70ead4bf64f34277233911af21bafba659c1f",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "18e5e570183245ea400b262d7313706899c5c2dba08305d45fa7b2d1f8114bbb",
-        "bd9f739d9789032d448408848375f35beaf8465d5f0782c57071972916a943a6",
+        "1a67c794d820f3cbfd137509578970beee9b66c5e1184821d4c9e4a923d4a959",
+        "78387dd5da44370f4783e11f18a48ecd73cf0f73b42e00eda0a3b9a8afa03e85",
     ),
 }
 
@@ -407,19 +451,22 @@ def meta_body_loops(program):
 
 
 class TestSharedBodies:
+    def test_readme_files_byte_identical(self, tmp_path):
+        assert file_hashes(readme_spec(), tmp_path, relabel=False) == README_FILES
+
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_files_byte_identical_to_unshared_compiler(self, name, tmp_path):
+    def test_files_identical_to_unshared_compiler_up_to_loop_ids(self, name, tmp_path):
         over, eng, pic = GOLDEN[name]
         assert file_hashes(readme_spec(**over), tmp_path) == (eng, pic)
 
-    def test_equal_time_line_loops_share_one_body(self):
+    def test_equal_time_line_loops_are_one_object(self):
         # meta order 2: bulk(t/2) corr(t) bulk(t/2), so both bulk copies
-        # hold a line loop and a tree loop at the same time
-        loops = meta_body_loops(compile_fruit(readme_spec())[0])
-        line_a, tree_a, line_b, tree_b = loops
-        assert line_a.body is line_b.body
-        assert tree_a.body is tree_b.body
-        assert len({loop.id for loop in loops}) == 4
+        # hold the same line loop and the same tree loop
+        program, _ = compile_fruit(readme_spec())
+        line_a, tree_a, line_b, tree_b = meta_body_loops(program)
+        assert line_a is line_b
+        assert tree_a is tree_b
+        assert line_a.body is not tree_a.body
 
     def test_meta_order_4_builds_two_bulk_bodies(self):
         # ten bulk copies at two distinct times: 20 loops, 4 distinct bodies

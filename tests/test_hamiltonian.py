@@ -1,3 +1,5 @@
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from nandfruit import (
     num_qubits_required,
     parse_bands,
 )
+from nandfruit.hamiltonian import MAX_ENGLISH_LINES, line_edges
 
 
 def pair_set(h):
@@ -42,6 +45,10 @@ class TestLineHamiltonian:
     def test_three_qubit_pairs(self):
         h = build_line_hamiltonian(3, 1.0)
         assert pair_set(h) == {(0, 1), (1, 3), (2, 3), (2, 6), (4, 5), (5, 7), (6, 7)}
+
+    def test_edges_in_gray_path_order(self):
+        # the compiler's even/odd split needs path order, not sorted pairs
+        assert line_edges(3) == [(0, 1), (1, 3), (3, 2), (2, 6), (6, 7), (7, 5), (5, 4)]
 
     def test_single_qubit(self):
         h = build_line_hamiltonian(1, 0.4)
@@ -220,3 +227,27 @@ class TestSpecValidation:
 
     def test_accepts_single_qubit_line(self):
         make_spec(nb_line=1, door=1).validate()
+
+    @pytest.mark.parametrize("name", ["line", "meta"])
+    @pytest.mark.parametrize("order", [20, 10 ** 9])
+    def test_rejects_order_writing_too_many_lines(self, name, order):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="English lines") as err:
+            make_spec(**{f"r_{name}": order}).validate()
+        assert f"{name} order {order} " in str(err.value)
+        assert time.perf_counter() - start < 1
+
+    def test_line_limit_is_the_largest_register_at_smallest_orders(self):
+        # so every register admitted before orders were bounded still is
+        largest = make_spec(nb_line=14, nb_tree=14, nt_line=2, nt_tree=2, nt_meta=2)
+        assert largest.english_line_bound() == MAX_ENGLISH_LINES
+        largest.validate()
+        with pytest.raises(InputError, match="English lines"):
+            make_spec(nb_line=14, nb_tree=14, r_line=4).validate()
+
+    def test_resolve(self):
+        layout, x = make_spec(bands_text="1,2").resolve()
+        assert layout == FruitLayout.from_counts(3, 3)
+        assert x.x == [False, True, True, False]
+        with pytest.raises(InputError, match="door"):
+            make_spec(door=8).resolve()

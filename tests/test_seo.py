@@ -27,7 +27,7 @@ class TestCounting:
     def test_loop_weighted(self):
         prog = SeoProgram(2, [
             g(), g(target=1),
-            Loop(0, 5, [g(), g(target=1), g()]),
+            Loop(5, [g(), g(target=1), g()]),
         ])
         assert count_elementary_ops(prog) == 17
 
@@ -35,12 +35,12 @@ class TestCounting:
         assert count_elementary_ops(SeoProgram(1)) == 0
 
     def test_nested(self):
-        prog = SeoProgram(2, [Loop(0, 3, [Loop(1, 4, [g(), g(target=1)])])])
+        prog = SeoProgram(2, [Loop(3, [Loop(4, [g(), g(target=1)])])])
         assert count_elementary_ops(prog) == 24
 
     def test_shared_body_weighted_per_loop(self):
         body = [g(), g(target=1)]
-        prog = SeoProgram(2, [Loop(0, 2, body), g(), Loop(1, 3, body)])
+        prog = SeoProgram(2, [Loop(2, body), g(), Loop(3, body)])
         assert count_elementary_ops(prog) == 11 == len(expand(prog))
 
     def test_count_equals_expansion_length(self):
@@ -53,7 +53,7 @@ class TestCounting:
 class TestExpand:
     def test_simple_loop(self):
         g1, g2 = g(), g(target=1)
-        prog = SeoProgram(2, [Loop(0, 2, [g1, g2])])
+        prog = SeoProgram(2, [Loop(2, [g1, g2])])
         assert expand(prog) == [g1, g2, g1, g2]
 
     def test_no_loops_identity(self):
@@ -79,27 +79,20 @@ class TestGateInvariants:
         with pytest.raises(ValueError):
             prog.validate()
 
-    def test_program_rejects_duplicate_loop_id(self):
-        prog = SeoProgram(1, [Loop(3, 2, [g()]), Loop(3, 2, [g()])])
-        with pytest.raises(ValueError):
-            prog.validate()
-
-    def test_shared_body_with_a_loop_repeats_its_id(self):
-        inner = [Loop(5, 2, [g()])]
-        prog = SeoProgram(1, [Loop(0, 1, inner), Loop(1, 1, inner)])
-        with pytest.raises(ValueError, match="duplicate loop id 5"):
+    def test_program_rejects_nonpositive_reps(self):
+        prog = SeoProgram(1, [Loop(2, [g()]), Loop(0, [g()])])
+        with pytest.raises(ValueError, match="reps 0"):
             prog.validate()
 
     def test_shared_out_of_range_gate_rejected(self):
         bad = g(target=1)
-        prog = SeoProgram(1, [Loop(0, 2, [bad]), Loop(1, 2, [bad])])
+        prog = SeoProgram(1, [Loop(2, [bad]), Loop(2, [bad])])
         with pytest.raises(ValueError, match="qubit 1"):
             prog.validate()
 
 
 def random_program(rng, max_qubits=5, max_depth=3):
     n = rng.randint(1, max_qubits)
-    loop_ids = iter(range(1000))
 
     def make_gate():
         kind = rng.choice(["SIGX", "ROTX", "ROTY", "ROTZ", "PHAS"])
@@ -116,7 +109,7 @@ def random_program(rng, max_qubits=5, max_depth=3):
         body = []
         for _ in range(rng.randint(0, 5)):
             if depth < max_depth and rng.random() < 0.3:
-                body.append(Loop(next(loop_ids), rng.randint(1, 4), make_body(depth + 1)))
+                body.append(Loop(rng.randint(1, 4), make_body(depth + 1)))
             else:
                 body.append(make_gate())
         return body
@@ -148,12 +141,35 @@ class TestFiles:
         assert path.read_text().splitlines()[1] == "O---y |"
 
     def test_loop_lines(self, tmp_path):
-        prog = SeoProgram(1, [Loop(7, 4, [g()])])
+        prog = SeoProgram(1, [Loop(4, [g()])])
         path = tmp_path / "c_eng.txt"
         write_english(prog, path)
         lines = path.read_text().splitlines()
-        assert lines[1] == "LOOP 7 REPS: 4"
-        assert lines[3] == "NEXT 7"
+        assert lines[1] == "LOOP 0 REPS: 4"
+        assert lines[3] == "NEXT 0"
+
+    def test_shared_loop_gets_an_id_per_place_in_next_order(self, tmp_path):
+        # the inner loop object sits in both outer loops; ids follow the
+        # NEXT lines and each LOOP line takes its NEXT line's id
+        inner = Loop(2, [g()])
+        prog = SeoProgram(1, [Loop(3, [inner]), inner])
+        path = tmp_path / "d_eng.txt"
+        write_english(prog, path)
+        assert path.read_text().splitlines()[1:] == [
+            "LOOP 1 REPS: 3", "LOOP 0 REPS: 2", "SIGX AT 0", "NEXT 0", "NEXT 1",
+            "LOOP 2 REPS: 2", "SIGX AT 0", "NEXT 2",
+        ]
+        assert parse_english(path) == prog
+
+    def test_any_unique_ids_parse_and_are_renumbered(self, tmp_path):
+        path = tmp_path / "e_eng.txt"
+        path.write_text("NUM_QUBITS 1\nLOOP 9 REPS: 2\nLOOP 4 REPS: 3\n"
+                        "SIGX AT 0\nNEXT 4\nNEXT 9\n")
+        prog = parse_english(path)
+        assert prog == SeoProgram(1, [Loop(2, [Loop(3, [g()])])])
+        write_english(prog, path)
+        assert path.read_text() == (
+            "NUM_QUBITS 1\nLOOP 1 REPS: 2\nLOOP 0 REPS: 3\nSIGX AT 0\nNEXT 0\nNEXT 1\n")
 
     def test_signed_zero_angles_render_apart(self, tmp_path):
         # equal as gates, since 0.0 == -0.0, but written with their signs
@@ -193,6 +209,7 @@ class TestFiles:
         assert "num_qubits: 5" in text
         assert "num_elementary_ops: 123" in text
         assert "door: 2" in text
+        assert "\ntree_order: 4 (fixed internally)\n" in text
         assert "message: OK" in text
 
 
