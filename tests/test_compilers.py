@@ -28,6 +28,7 @@ from nandfruit import (
     frobenius_distance,
     pad_controls,
     parse_bands,
+    parse_english,
     program_unitary,
     suzuki,
     two_state_rotation,
@@ -336,6 +337,16 @@ class TestFruit:
         _, r8 = compile_fruit(make_spec(nt_meta=8))
         assert r8.num_elementary_ops == 8 * r1.num_elementary_ops
 
+    def test_loop_ids_unique(self, tmp_path):
+        # shared Loop objects stand in several places; the written file
+        # gives each place its own id, which parse_english checks
+        prog, _ = compile_fruit(make_spec(r_meta=4))
+        write_english(prog, tmp_path / "eng.txt")
+        text = (tmp_path / "eng.txt").read_text()
+        loop_ids = re.findall(r"^LOOP (\d+) ", text, re.M)
+        assert len(loop_ids) == len(set(loop_ids)) > 1
+        assert parse_english(tmp_path / "eng.txt") == prog
+
     @pytest.mark.parametrize("r_meta", [2, 4])
     def test_written_loop_ids_count_up_in_next_order(self, r_meta, tmp_path):
         prog, _ = compile_fruit(make_spec(r_meta=r_meta))
@@ -455,18 +466,23 @@ class TestSharedBodies:
         assert file_hashes(readme_spec(), tmp_path, relabel=False) == README_FILES
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_files_identical_to_unshared_compiler_up_to_loop_ids(self, name, tmp_path):
+    def test_files_byte_identical_to_unshared_compiler(self, name, tmp_path):
+        # byte for byte once both sides' loop ids are relabelled
         over, eng, pic = GOLDEN[name]
         assert file_hashes(readme_spec(**over), tmp_path) == (eng, pic)
 
-    def test_equal_time_line_loops_are_one_object(self):
+    def test_equal_time_line_loops_share_one_body(self, tmp_path):
         # meta order 2: bulk(t/2) corr(t) bulk(t/2), so both bulk copies
         # hold the same line loop and the same tree loop
         program, _ = compile_fruit(readme_spec())
         line_a, tree_a, line_b, tree_b = meta_body_loops(program)
-        assert line_a is line_b
-        assert tree_a is tree_b
+        assert line_a is line_b and line_a.body is line_b.body
+        assert tree_a is tree_b and tree_a.body is tree_b.body
         assert line_a.body is not tree_a.body
+        # written, the four places still get four ids inside the meta loop
+        write_english(program, tmp_path / "eng.txt")
+        text = (tmp_path / "eng.txt").read_text()
+        assert len(set(re.findall(r"^LOOP (\d+) ", text, re.M))) == 5
 
     def test_meta_order_4_builds_two_bulk_bodies(self):
         # ten bulk copies at two distinct times: 20 loops, 4 distinct bodies

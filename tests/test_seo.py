@@ -79,6 +79,19 @@ class TestGateInvariants:
         with pytest.raises(ValueError):
             prog.validate()
 
+    def test_program_rejects_duplicate_loop_id(self, tmp_path):
+        # a Loop object standing twice is written under two ids; a file
+        # that gives both places one id is refused when read
+        shared = Loop(2, [g()])
+        prog = SeoProgram(1, [shared, shared])
+        path = tmp_path / "a_eng.txt"
+        write_english(prog, path)
+        text = path.read_text()
+        assert parse_english(path) == prog
+        path.write_text(text.replace("LOOP 1 ", "LOOP 0 ").replace("NEXT 1", "NEXT 0"))
+        with pytest.raises(SeoSyntaxError, match="duplicate loop id 0"):
+            parse_english(path)
+
     def test_program_rejects_nonpositive_reps(self):
         prog = SeoProgram(1, [Loop(2, [g()]), Loop(0, [g()])])
         with pytest.raises(ValueError, match="reps 0"):

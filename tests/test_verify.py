@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from nandfruit import (
     expand,
     expi_hermitian,
     frobenius_distance,
+    parse_english,
     program_unitary,
     spectral_norm,
     verify_compile,
+    write_english,
 )
 from nandfruit.hamiltonian import SparseSymmetric
 
@@ -159,11 +163,18 @@ class TestLoopAwareProduct:
         ])
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
 
-    def test_compiled_meta_order_4_program(self):
-        # shared bodies and shared Loop objects at two distinct times
+    def test_compiled_program_with_out_of_order_loop_ids(self, tmp_path):
+        # shared bodies and shared Loop objects at two distinct times; the
+        # written file numbers loops as they close, so its LOOP lines run
+        # out of order, and the program read back from it is checked
         spec = FruitSpec("t", 3, 3, 0.2, 2, "0,1;3,3", nt_line=4, r_line=2,
                          nt_tree=4, nt_meta=4, r_meta=4)
         prog, _ = compile_fruit(spec)
+        path = tmp_path / "eng.txt"
+        write_english(prog, path)
+        ids = [int(i) for i in re.findall(r"^LOOP (\d+) ", path.read_text(), re.M)]
+        assert ids != sorted(ids)
+        prog = parse_english(path)
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
 
 
