@@ -19,7 +19,9 @@ from .hamiltonian import (
     FruitSpec,
     InputError,
     NandInputs,
+    glue_edges,
     line_edges,
+    oracle_edges,
     tree_edges,
 )
 from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
@@ -56,9 +58,8 @@ def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProg
 
 def compile_glue(layout: FruitLayout, door: int, g: float) -> SeoProgram:
     """Exact circuit for the door-to-root coupling exponential."""
-    if not 0 <= door < layout.ns_line:
-        raise InputError(f"line door must lie in [0, {layout.ns_line - 1}], got {door}")
-    return two_state_rotation(door, layout.root_index, g, layout.nb_total)
+    return SeoProgram(layout.nb_total,
+                      _rotations(glue_edges(layout, door), g, layout.nb_total))
 
 
 def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
@@ -67,16 +68,8 @@ def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
     One two-state rotation per set input bit, leaf k to its marker state;
     the pairs are disjoint so the product is exact in any order.
     """
-    if len(x.x) != layout.ns_lvs:
-        raise ValueError(f"expected {layout.ns_lvs} input bits, got {len(x.x)}")
-    body = []
-    for k, bit in enumerate(x.x):
-        if bit:
-            frag = two_state_rotation(
-                layout.leaf_index(k), layout.extra_index(k), g, layout.nb_total
-            )
-            body += frag.body
-    return SeoProgram(layout.nb_total, body)
+    return SeoProgram(layout.nb_total,
+                      _rotations(oracle_edges(layout, x), g, layout.nb_total))
 
 
 def compile_shift(k: int, num_qubits: int) -> SeoProgram:
@@ -108,24 +101,23 @@ def pad_controls(fragment: SeoProgram, pad_qubits: Iterable[int]) -> SeoProgram:
         return fragment
     pad_set = set(pads)
     extra = tuple((q, False) for q in pads)
-    # one padded gate per distinct gate object, so shared gates stay shared
-    padded: dict[int, Gate] = {}
+    # one rewrite per distinct gate, loop and sub-list, so shared ones stay shared
+    rewritten: dict[int, object] = {}
 
-    def pad(gate: Gate) -> Gate:
-        out = padded.get(id(gate))
+    def rewrite(item):
+        out = rewritten.get(id(item))
         if out is None:
-            clash = gate.qubits() & pad_set
-            if clash:
-                raise ValueError(f"pad qubits {sorted(clash)} already in use")
-            out = padded[id(gate)] = gate.with_extra_controls(extra)
+            if isinstance(item, list):
+                out = [rewrite(sub) for sub in item]
+            elif isinstance(item, Loop):
+                out = Loop(item.reps, rewrite(item.body))
+            else:
+                clash = item.qubits() & pad_set
+                if clash:
+                    raise ValueError(f"pad qubits {sorted(clash)} already in use")
+                out = item.with_extra_controls(extra)
+            rewritten[id(item)] = out
         return out
-
-    def rewrite(items):
-        return [
-            Loop(item.reps, rewrite(item.body))
-            if isinstance(item, Loop) else pad(item)
-            for item in items
-        ]
 
     num_qubits = max(fragment.num_qubits, pads[-1] + 1)
     return SeoProgram(num_qubits, rewrite(fragment.body))
@@ -184,19 +176,24 @@ class SuzukiEmitters:
 
 
 def _suzuki_body(order: int, t: float, em: SuzukiEmitters) -> list:
+    """The formula as sub-lists spliced in place; repeats are one list."""
     if order == 2:
-        return em.emit_a(t / 2) + em.emit_b(t) + em.emit_a(t / 2)
+        half = em.emit_a(t / 2)
+        return [half, em.emit_b(t), half]
     p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
     outer = _suzuki_body(order - 2, p * t, em)
     middle = _suzuki_body(order - 2, (1.0 - 4.0 * p) * t, em)
-    return outer + outer + middle + outer + outer
+    return [outer, outer, middle, outer, outer]
 
 
 def suzuki(order: int, t: float, em: SuzukiEmitters) -> SeoProgram:
     """Product-formula approximant of exp((A+B)t) from the two emitters.
 
     Order 2 is the symmetric split A(t/2) B(t) A(t/2); higher even orders
-    follow the fractal recursion with p = 1/(4 - 4^(1/(order-1))).
+    follow the fractal recursion with p = 1/(4 - 4^(1/(order-1))).  The body
+    is not flattened: each factor and each sub-formula is one sub-list, and
+    a repeat is the same list again, as in [outer, outer, middle, outer,
+    outer].
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be even, got {order}")
@@ -315,8 +312,11 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     nt_meta times via Trotter's trick.
 
     Each factor is built once per distinct time and shared: the program may
-    hold the same Gate, Loop and loop-body objects in many places, so treat
-    it as immutable.
+    hold the same Gate, Loop and list objects in many places, so treat it as
+    immutable.  Product formulas keep their factors and repeats as sub-lists
+    spliced in place (see SeoProgram), so the program does not compare equal
+    to the flat one parse_english reads back from its English file, though
+    both write the same file and have the same unitary.
     """
     layout, x = spec.resolve()
     nb_total = layout.nb_total

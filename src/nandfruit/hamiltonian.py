@@ -30,6 +30,13 @@ MAX_BLOCK_QUBITS = 14
 # orders stays admitted.  Each +2 in an order multiplies the lines by 5.
 MAX_ENGLISH_LINES = 5_470_136
 
+# Largest |g| accepted.  Every rotation angle is -2 g times a product of
+# Suzuki coefficients, each at most 1 in magnitude, so angles stay within
+# 2^53, past which a double no longer holds every integer and a rotation is
+# rounding noise.  Far above it the dense reference overflows: at g = 1e308
+# its eigenvalues reach inf and the reported error is nan.
+MAX_COUPLING = 2.0 ** 52
+
 # the binary tree always gets this product-formula order
 TREE_ORDER = 4
 
@@ -157,6 +164,11 @@ class FruitSpec:
                 raise InputError(f"{name} trot count must be positive, got {value}")
         if not np.isfinite(self.g):
             raise InputError("coupling constant must be finite")
+        if abs(self.g) > MAX_COUPLING:
+            raise InputError(
+                f"coupling constant {self.g:g} exceeds {MAX_COUPLING:g} in magnitude: "
+                "larger couplings give rotation angles beyond double precision"
+            )
         if self.english_line_bound() > MAX_ENGLISH_LINES:
             raise InputError(
                 f"line order {self.r_line} and meta order {self.r_meta} may write "
@@ -289,6 +301,21 @@ def tree_edges(nb_tree: int) -> list[tuple[int, int]]:
     return [(j, 2 * j + s) for j in range(1, 2 ** (nb_tree - 1)) for s in (0, 1)]
 
 
+def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:
+    """The one pair the glue couples: line node `door` to the tree root."""
+    if not 0 <= door < layout.ns_line:
+        raise InputError(f"line door must lie in [0, {layout.ns_line - 1}], got {door}")
+    return [(door, layout.root_index)]
+
+
+def oracle_edges(layout: FruitLayout, x: NandInputs) -> list[tuple[int, int]]:
+    """Leaf k to its marker state for every set input bit x_k, by leaf."""
+    if len(x.x) != layout.ns_lvs:
+        raise ValueError(f"expected {layout.ns_lvs} input bits, got {len(x.x)}")
+    return [(layout.leaf_index(k), layout.extra_index(k))
+            for k, bit in enumerate(x.x) if bit]
+
+
 # any run of non-digits separates two integers, so "0-3" is 0 and 3
 _INT_RE = re.compile(r"\d+")
 
@@ -357,10 +384,8 @@ def assemble_fruit(spec: FruitSpec) -> tuple[FruitLayout, FruitHamiltonians]:
         dim, layout.tree_offset
     )
 
-    glue = SparseSymmetric.from_edges(dim, [(spec.door, layout.root_index)], spec.g)
-    ora_edges = [(layout.leaf_index(k), layout.extra_index(k))
-                 for k, bit in enumerate(x.x) if bit]
-    ora = SparseSymmetric.from_edges(dim, ora_edges, spec.g)
+    glue = SparseSymmetric.from_edges(dim, glue_edges(layout, spec.door), spec.g)
+    ora = SparseSymmetric.from_edges(dim, oracle_edges(layout, x), spec.g)
 
     bulk = line + tree
     corr = glue + ora

@@ -1,8 +1,9 @@
 """Elementary-operation programs and their English / Picture / Log files.
 
-A program is a tree of gates and nestable LOOP groups.  The English file is
-a line-oriented textual form that parses back losslessly; the Picture file
-is an ASCII circuit diagram with one column per qubit.
+A program is a tree of gates, nestable LOOP groups and plain sub-lists
+spliced in place.  The English file is a line-oriented textual form that
+parses back losslessly; the Picture file is an ASCII circuit diagram with
+one column per qubit.
 
 Conventions: qubit 0 is the least-significant bit of a state index.
 ROTA(theta) = exp(-i * theta * sigma_A / 2) for A in {X, Y, Z}; PHAS(theta)
@@ -81,7 +82,14 @@ class Loop:
 
 @dataclass
 class SeoProgram:
-    """A gate sequence: ordered body of Gate and Loop items."""
+    """A gate sequence: ordered body of Gate, Loop and list items.
+
+    A list item is a sub-sequence spliced in place: it runs, and is written,
+    as if its items stood where it stands.  Compilers use it to share a
+    repeated sub-sequence as one list object; parse_english never makes one,
+    so a program read back from a file is flat and compares equal only to
+    flat programs.
+    """
 
     num_qubits: int
     body: list = field(default_factory=list)
@@ -89,8 +97,8 @@ class SeoProgram:
     def validate(self) -> None:
         """Check loop reps are positive and qubits in range.
 
-        Each distinct Loop and Gate object is checked once, since compiled
-        programs share them between many items.
+        Each distinct Loop, list and Gate object is checked once, since
+        compiled programs share them between many items.
         """
         checked = set()
 
@@ -99,7 +107,9 @@ class SeoProgram:
                 if id(item) in checked:
                     continue
                 checked.add(id(item))
-                if isinstance(item, Loop):
+                if isinstance(item, list):
+                    check(item)
+                elif isinstance(item, Loop):
                     if item.reps < 1:
                         raise ValueError(f"loop has reps {item.reps} < 1")
                     check(item.body)
@@ -127,7 +137,7 @@ class CompileReport:
 def count_elementary_ops(program: SeoProgram) -> int:
     """Gate count with every loop body weighted by its repetition count.
 
-    A loop-body list shared by several loops is counted once.
+    A list shared by several places is counted once.
     """
     counts: dict[int, int] = {}
 
@@ -136,7 +146,9 @@ def count_elementary_ops(program: SeoProgram) -> int:
         if total is None:
             total = 0
             for item in items:
-                if isinstance(item, Loop):
+                if isinstance(item, list):
+                    total += count(item)
+                elif isinstance(item, Loop):
                     total += item.reps * count(item.body)
                 else:
                     total += 1
@@ -152,7 +164,9 @@ def expand(program: SeoProgram) -> list[Gate]:
 
     def walk(items):
         for item in items:
-            if isinstance(item, Loop):
+            if isinstance(item, list):
+                walk(item)
+            elif isinstance(item, Loop):
                 for _ in range(item.reps):
                     walk(item.body)
             else:
@@ -178,40 +192,64 @@ def _gate_line(gate: Gate) -> str:
     return " ".join(parts)
 
 
-def _program_lines(program: SeoProgram, render_gate) -> list[str]:
-    """The header, then one line per item; each distinct Gate object is
-    rendered once (by identity: 0.0 and -0.0 are equal but render apart).
+def _program_chunks(program: SeoProgram, render_gate) -> list[str]:
+    """The file's text as chunks: the header, then one line per gate and per
+    LOOP and NEXT, with every list spliced in place.
 
+    Each distinct list is rendered once, into the joined lines of each run
+    of gates between its Loops and sub-lists; each distinct Gate object is
+    rendered once (by identity: 0.0 and -0.0 are equal but render apart).
     Each loop occurrence is numbered in the order the NEXT lines close, so
-    a Loop shared by several places gets one id per place.
+    a Loop or list shared by several places gets one id per place.
     """
     rendered: dict[int, str] = {}
-    lines = [f"NUM_QUBITS {program.num_qubits}"]
+    parts: dict[int, list] = {}  # list id -> its runs of gate text, Loops and lists
+
+    def parts_of(items) -> list:
+        out = parts.get(id(items))
+        if out is None:
+            out, run = [], []
+            for item in items:
+                if isinstance(item, (list, Loop)):
+                    if run:
+                        out.append("".join(run))
+                        run = []
+                    out.append(item)
+                else:
+                    line = rendered.get(id(item))
+                    if line is None:
+                        line = rendered[id(item)] = render_gate(item) + "\n"
+                    run.append(line)
+            if run:
+                out.append("".join(run))
+            parts[id(items)] = out
+        return out
+
+    chunks = [f"NUM_QUBITS {program.num_qubits}\n"]
     closed = 0
 
-    def walk(items):
+    def emit(items):
         nonlocal closed
-        for item in items:
-            if isinstance(item, Loop):
-                at = len(lines)
-                lines.append("")
-                walk(item.body)
-                lines[at] = f"LOOP {closed} REPS: {item.reps}"
-                lines.append(f"NEXT {closed}")
-                closed += 1
+        for part in parts_of(items):
+            if isinstance(part, str):
+                chunks.append(part)
+            elif isinstance(part, list):
+                emit(part)
             else:
-                line = rendered.get(id(item))
-                if line is None:
-                    line = rendered[id(item)] = render_gate(item)
-                lines.append(line)
+                at = len(chunks)
+                chunks.append("")
+                emit(part.body)
+                chunks[at] = f"LOOP {closed} REPS: {part.reps}\n"
+                chunks.append(f"NEXT {closed}\n")
+                closed += 1
 
-    walk(program.body)
-    return lines
+    emit(program.body)
+    return chunks
 
 
 def write_english(program: SeoProgram, path) -> None:
     """Write the textual gate program, one item per line after the header."""
-    _write_lines(path, _program_lines(program, _gate_line))
+    _write_chunks(path, _program_chunks(program, _gate_line))
 
 
 def _picture_line(gate: Gate, num_qubits: int) -> str:
@@ -236,7 +274,7 @@ def _picture_line(gate: Gate, num_qubits: int) -> str:
 
 def write_picture(program: SeoProgram, path) -> None:
     """Write the ASCII diagram; leftmost column is the highest qubit index."""
-    _write_lines(path, _program_lines(
+    _write_chunks(path, _program_chunks(
         program, lambda g: _picture_line(g, program.num_qubits)))
 
 
@@ -260,13 +298,13 @@ def write_log(report: CompileReport, spec, path) -> None:
         f"error: {report.error!r}" if report.error is not None else "error: skipped",
         f"message: {report.message or 'OK'}",
     ]
-    _write_lines(path, lines)
+    _write_chunks(path, [line + "\n" for line in lines])
 
 
-def _write_lines(path, lines) -> None:
+def _write_chunks(path, chunks) -> None:
     try:
         with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+            f.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -102,22 +102,29 @@ def program_unitary(program: SeoProgram) -> np.ndarray:
     Each LOOP body is multiplied out once and raised to its rep count; a
     body list shared by several loops is multiplied out once per call, so
     the walk holds one dense matrix per loop-nesting level plus one per
-    distinct loop body.
+    distinct loop body.  A list item is applied in place, gate by gate, on
+    the running product; it gets no matrix of its own.
     """
     dim = 2 ** program.num_qubits
     row_cache: dict = {}
     body_products: dict[int, np.ndarray] = {}
 
-    def product(items) -> np.ndarray:
-        u = np.eye(dim, dtype=complex)
+    def apply(items, u: np.ndarray) -> None:
         for item in items:
-            if isinstance(item, Loop):
+            if isinstance(item, list):
+                apply(item, u)
+            elif isinstance(item, Loop):
                 body = body_products.get(id(item.body))
                 if body is None:
                     body = body_products[id(item.body)] = product(item.body)
-                u = np.linalg.matrix_power(body, item.reps) @ u
+                # written back so no caller frame holds a stale u
+                u[...] = np.linalg.matrix_power(body, item.reps) @ u
             else:
                 apply_gate(u, item, row_cache)
+
+    def product(items) -> np.ndarray:
+        u = np.eye(dim, dtype=complex)
+        apply(items, u)
         return u
 
     return product(program.body)

@@ -1,5 +1,7 @@
+import math
 import os
 import time
+import warnings
 
 import pytest
 
@@ -145,6 +147,23 @@ class TestRun:
         assert "--max-verify-qubits 40" in out["Message"]
         assert "GiB" in out["Message"]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("coupling,code", [("1e308", 1), (str(2.0 ** 52), 0)])
+    def test_coupling_bounded_so_the_error_stays_finite(self, tmp_path, capsys,
+                                                        coupling, code):
+        argv = ["--prefix", str(tmp_path / "g"), "--line-qubits", "2",
+                "--tree-qubits", "2", "--coupling", coupling, "--door", "1",
+                "--meta-order", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == code
+        out = output_fields(capsys)
+        if code:
+            assert "coupling constant 1e+308 exceeds" in out["Message"]
+            assert not any(tmp_path.iterdir())
+        else:
+            assert math.isfinite(float(out["Error"]))
+            assert out["Message"] == "OK"
 
     def test_loop_line_in_english_file(self, tmp_path, capsys):
         run(base_args(tmp_path / "lp", **{"--meta-trots": "8"}))

@@ -40,6 +40,35 @@ from nandfruit.hamiltonian import SparseSymmetric
 from nandfruit.seo import Gate
 
 
+def inline(items):
+    """items with every sub-list spliced in place; Loop objects stay as they are."""
+    out = []
+    for item in items:
+        if isinstance(item, list):
+            out += inline(item)
+        else:
+            out.append(item)
+    return out
+
+
+def flat(items):
+    """The body parse_english reads back: sub-lists spliced at every depth."""
+    return [Loop(item.reps, flat(item.body)) if isinstance(item, Loop) else item
+            for item in inline(items)]
+
+
+def sharing(items):
+    """Each object's order of first appearance, by identity, nested as the
+    sub-lists are: equal for two bodies that share objects alike."""
+    seen: dict[int, int] = {}
+
+    def walk(item):
+        at = seen.setdefault(id(item), len(seen))
+        return (at, tuple(walk(sub) for sub in item)) if isinstance(item, list) else at
+
+    return walk(items)
+
+
 def pair_exp(dim, a, b, theta):
     h = np.zeros((dim, dim))
     h[a, b] = h[b, a] = theta
@@ -167,6 +196,11 @@ class TestGlueOracle:
         u = program_unitary(compile_glue(layout, 0, 0.0))
         assert frobenius_distance(u, np.eye(32)) <= 1e-12
 
+    def test_glue_rejects_door_outside_line(self):
+        layout = FruitLayout.from_counts(3, 3)
+        with pytest.raises(InputError, match="door"):
+            compile_glue(layout, layout.ns_line, 0.3)
+
     def test_oracle_empty(self):
         layout = FruitLayout.from_counts(3, 3)
         prog = compile_oracle(layout, parse_bands("", 4), 0.5)
@@ -207,6 +241,12 @@ def recording_emitters(calls_a, calls_b):
     return SuzukiEmitters(num_qubits=1, emit_a=emit_a, emit_b=emit_b)
 
 
+def marker_emitters():
+    """Each factor stands in the body as its (name, time)."""
+    return SuzukiEmitters(num_qubits=1, emit_a=lambda t: [("a", t)],
+                          emit_b=lambda t: [("b", t)])
+
+
 class TestSuzuki:
     def test_rejects_odd_order(self):
         em = recording_emitters([], [])
@@ -214,22 +254,36 @@ class TestSuzuki:
             suzuki(3, 1.0, em)
 
     def test_order_two_sequence(self):
-        calls_a, calls_b = [], []
-        suzuki(2, 0.8, recording_emitters(calls_a, calls_b))
-        assert calls_a == [0.4, 0.4]
-        assert calls_b == [0.8]
+        body = suzuki(2, 0.8, marker_emitters()).body
+        assert inline(body) == [("a", 0.4), ("b", 0.8), ("a", 0.4)]
+        # both half steps are one list
+        assert body[0] is body[2]
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_coefficients_sum_to_t(self, order):
-        # each factor stands in the body as its (name, time); equal-time
-        # sub-bodies are built once, so the body is read, not the calls
-        em = SuzukiEmitters(num_qubits=1, emit_a=lambda t: [("a", t)],
-                            emit_b=lambda t: [("b", t)])
-        body = suzuki(order, 0.37, em).body
+        # equal-time sub-bodies are built once, so the body is read, not
+        # the calls
+        body = inline(suzuki(order, 0.37, marker_emitters()).body)
         assert len(body) == 3 * 5 ** (order // 2 - 1)
         for name in "ab":
             times = [t for factor, t in body if factor == name]
             assert math.isclose(sum(times), 0.37, rel_tol=1e-12)
+
+    def test_order_six_body_shares_its_sub_formulas(self):
+        em = SuzukiEmitters(
+            num_qubits=2,
+            emit_a=lambda t: two_state_rotation(0, 1, t, 2).body,
+            emit_b=lambda t: two_state_rotation(1, 2, t, 2).body,
+        )
+        prog = suzuki(6, 0.3, em)
+        # [outer, outer, middle, outer, outer]
+        assert len(prog.body) == 5
+        assert len({id(item) for item in prog.body}) == 2
+        assert prog.body[0] is prog.body[1] is prog.body[3] is prog.body[4]
+        padded = pad_controls(prog, [2])
+        assert sharing(padded.body) == sharing(prog.body)
+        assert expand(padded) == [gate.with_extra_controls(((2, False),))
+                                  for gate in expand(prog)]
 
     def test_trivial_emitters_identity(self):
         em = recording_emitters([], [])
@@ -345,7 +399,9 @@ class TestFruit:
         text = (tmp_path / "eng.txt").read_text()
         loop_ids = re.findall(r"^LOOP (\d+) ", text, re.M)
         assert len(loop_ids) == len(set(loop_ids)) > 1
-        assert parse_english(tmp_path / "eng.txt") == prog
+        # the file holds the compiled program with its sub-lists spliced
+        assert parse_english(tmp_path / "eng.txt") == SeoProgram(
+            prog.num_qubits, flat(prog.body))
 
     @pytest.mark.parametrize("r_meta", [2, 4])
     def test_written_loop_ids_count_up_in_next_order(self, r_meta, tmp_path):
@@ -458,7 +514,7 @@ GOLDEN = {
 def meta_body_loops(program):
     """The line and tree loops of the bulk copies inside the meta loop."""
     (meta,) = program.body
-    return [item for item in meta.body if isinstance(item, Loop)]
+    return [item for item in inline(meta.body) if isinstance(item, Loop)]
 
 
 class TestSharedBodies:

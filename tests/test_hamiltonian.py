@@ -15,7 +15,7 @@ from nandfruit import (
     num_qubits_required,
     parse_bands,
 )
-from nandfruit.hamiltonian import MAX_ENGLISH_LINES, line_edges
+from nandfruit.hamiltonian import MAX_COUPLING, MAX_ENGLISH_LINES, line_edges
 
 
 def pair_set(h):
@@ -224,6 +224,12 @@ class TestSpecValidation:
     def test_rejects_zero_trots(self):
         with pytest.raises(InputError, match="trot"):
             make_spec(nt_meta=0).validate()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_coupling_beyond_double_precision(self, sign):
+        make_spec(g=sign * MAX_COUPLING).validate()
+        with pytest.raises(InputError, match="coupling constant"):
+            make_spec(g=sign * np.nextafter(MAX_COUPLING, np.inf)).validate()
 
     def test_accepts_single_qubit_line(self):
         make_spec(nb_line=1, door=1).validate()

@@ -1,4 +1,5 @@
-"""Property tests over small specs: English round trips and op counts."""
+"""Property tests over small specs: English round trips, op counts and the
+unitary of the written file."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +11,9 @@ from nandfruit import (
     FruitSpec,
     compile_fruit,
     count_elementary_ops,
+    frobenius_distance,
     parse_english,
+    program_unitary,
     write_english,
 )
 
@@ -54,3 +57,16 @@ def test_english_round_trip_and_op_count(spec):
         assert path.read_bytes() == written
     assert count_elementary_ops(parsed) == report.num_elementary_ops
     assert len(written.splitlines()) <= spec.english_line_bound()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=specs())
+def test_written_file_has_the_compiled_unitary(spec):
+    # the compiled program shares sub-lists; the file read back is flat
+    program, _ = compile_fruit(spec)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "eng.txt"
+        write_english(program, path)
+        parsed = parse_english(path)
+    assert frobenius_distance(program_unitary(program),
+                              program_unitary(parsed)) <= 1e-12
