@@ -27,13 +27,14 @@ from .hamiltonian import (
 from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
 
 
-def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProgram:
-    """Exact circuit for exp(i*theta*(|a><b| + |b><a|)).
+def _rotation_parts(a: int, b: int, num_qubits: int):
+    """(pivot, ladder mask, ROTX controls) of the rotation on states a, b.
 
-    Identity outside span{|a>, |b>}; on the span it acts as
-    [[cos t, i sin t], [i sin t, cos t]].  A CNOT ladder maps a, b to states
-    differing in one bit, a single multiply-controlled ROTX(-2*theta) does
-    the rotation there, and the ladder is undone.
+    The ladder is one CNOT from the pivot (the lowest bit where a and b
+    differ) onto each other differing bit, the set bits of the mask; it
+    maps a, b to states differing in the pivot alone, where the ROTX acts
+    under controls on every other qubit.  Two ladders on one pivot commute,
+    and each is its own inverse.
     """
     if a == b:
         raise ValueError("two_state_rotation needs distinct states")
@@ -42,16 +43,39 @@ def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProg
         raise ValueError(f"states ({a}, {b}) out of range for {num_qubits} qubits")
     diff = a ^ b
     pivot = (diff & -diff).bit_length() - 1
-    ladder = [
-        Gate("SIGX", target=j, controls=((pivot, True),))
-        for j in range(num_qubits)
-        if diff >> j & 1 and j != pivot
-    ]
+    mask = diff ^ (1 << pivot)
     # image of a after the ladder (other differing bits get absorbed into pivot)
-    a_img = a ^ (diff ^ (1 << pivot)) if a >> pivot & 1 else a
+    a_img = a ^ mask if a >> pivot & 1 else a
     controls = tuple(
         (q, bool(a_img >> q & 1)) for q in range(num_qubits) if q != pivot
     )
+    return pivot, mask, controls
+
+
+def _ladder(pivot: int, targets: Iterable[int], extra: tuple = ()) -> list:
+    """CNOTs from the pivot onto each target, in the order given."""
+    return [Gate("SIGX", target=j, controls=((pivot, True),) + extra)
+            for j in targets]
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bits of mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProgram:
+    """Exact circuit for exp(i*theta*(|a><b| + |b><a|)).
+
+    Identity outside span{|a>, |b>}; on the span it acts as
+    [[cos t, i sin t], [i sin t, cos t]].  A CNOT ladder maps a, b to states
+    differing in one bit, a single multiply-controlled ROTX(-2*theta) does
+    the rotation there, and the ladder is undone.  Within one matching,
+    _rotations shares the ladders of rotations with the same pivot, which
+    stays exact: the rotations act on disjoint pairs and commute, and CNOTs
+    from one pivot commute and are their own inverses.
+    """
+    pivot, mask, controls = _rotation_parts(a, b, num_qubits)
+    ladder = _ladder(pivot, _bits(mask))
     rot = Gate("ROTX", target=pivot, angle=-2.0 * theta, controls=controls)
     return SeoProgram(num_qubits, ladder + [rot] + ladder[::-1])
 
@@ -212,93 +236,168 @@ def trotterize(
     return SeoProgram(single.num_qubits, [Loop(n_trots, single.body)])
 
 
+def _gray_rank(code: int) -> int:
+    """Position of code in the reflected Gray sequence (inverse Gray code)."""
+    rank = 0
+    while code:
+        rank ^= code
+        code >>= 1
+    return rank
+
+
 def _rotations(
-    edges: list[tuple[int, int]], theta: float, num_qubits: int
+    edges: list[tuple[int, int]], theta: float, num_qubits: int, extra: tuple = ()
 ) -> list:
-    """Exact exponential of a disjoint (matching) edge set, ascending order."""
+    """Exact exponential of a disjoint (matching) edge set.
+
+    Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
+    pairs are disjoint, so the rotations commute and any order is exact.
+    They run sorted by (pivot, Gray rank of the ladder mask, lower state);
+    between two rotations on one pivot only the symmetric difference of
+    their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^ L2) R2 L2,
+    exact because CNOTs from one control commute and are self-inverse.
+    Gray order makes neighbouring ladders differ in few CNOTs.  The last
+    ladder is undone at the end.  extra is appended to every gate's
+    controls (the F controls of pad qubits above num_qubits).
+    """
+    return _at_time(_matching_plan(edges, num_qubits, extra), theta)
+
+
+def _matching_plan(
+    edges: list[tuple[int, int]], num_qubits: int, extra: tuple = ()
+) -> tuple[list, list]:
+    """The part of _rotations that does not depend on theta: per rotation,
+    the CNOTs before it, its pivot and its controls; then the CNOTs that
+    undo the last ladder.  Emitters build it once per matching, so its
+    CNOT gates are shared by every time."""
+    rots = sorted(
+        ((_rotation_parts(min(a, b), max(a, b), num_qubits), min(a, b))
+         for a, b in edges),
+        key=lambda r: (r[0][0], _gray_rank(r[0][1]), r[1]),
+    )
+    steps = []
+    pivot, mask = None, 0
+    for (new_pivot, new_mask, controls), _ in rots:
+        undo, do = mask, new_mask
+        if new_pivot == pivot:
+            undo, do = mask & ~new_mask, new_mask & ~mask
+        cnots = (_ladder(pivot, _bits(undo)[::-1], extra)
+                 + _ladder(new_pivot, _bits(do), extra))
+        steps.append((cnots, new_pivot, controls + extra))
+        pivot, mask = new_pivot, new_mask
+    return steps, _ladder(pivot, _bits(mask)[::-1], extra)
+
+
+def _at_time(plan: tuple[list, list], theta: float) -> list:
+    """The gates of a matching plan with every ROTX at angle -2*theta."""
+    steps, tail = plan
     body = []
-    for a, b in sorted(edges, key=lambda e: min(e)):
-        body += two_state_rotation(min(a, b), max(a, b), theta, num_qubits).body
-    return body
+    for cnots, pivot, controls in steps:
+        body += cnots
+        body.append(Gate("ROTX", target=pivot, angle=-2.0 * theta, controls=controls))
+    return body + tail
 
 
-def _symmetric_chain(
-    matchings: list[list[tuple[int, int]]], t: float, num_qubits: int
-) -> list:
-    """Time-symmetric order-2 split over several matchings.
+def _symmetric_chain(plans: list[tuple[list, list]], t: float) -> list:
+    """Time-symmetric order-2 split over several matchings, given as plans.
 
     Emits M1(t/2) ... M_{m-1}(t/2) M_m(t) M_{m-1}(t/2) ... M1(t/2); each
     factor is exact, and the chain inverts under t -> -t so it can feed the
     higher-order recursion.
     """
-    matchings = [m for m in matchings if m]
-    if not matchings:
+    plans = [plan for plan in plans if plan[0]]
+    if not plans:
         return []
-    head, last = matchings[:-1], matchings[-1]
+    head, last = plans[:-1], plans[-1]
     body = []
-    for m in head:
-        body += _rotations(m, t / 2, num_qubits)
-    body += _rotations(last, t, num_qubits)
-    for m in reversed(head):
-        body += _rotations(m, t / 2, num_qubits)
+    for plan in head:
+        body += _at_time(plan, t / 2)
+    body += _at_time(last, t)
+    for plan in reversed(head):
+        body += _at_time(plan, t / 2)
     return body
 
 
-def line_emitters(nb_line: int) -> SuzukiEmitters:
+def _pad_extra(pads: Iterable[int], num_qubits: int) -> tuple:
+    """The F controls pad_controls would add for pads above a block of
+    num_qubits qubits, for emitters that build padded gates directly."""
+    pads = sorted(set(pads))
+    if pads and pads[0] < num_qubits:
+        raise ValueError(f"pad qubits {[q for q in pads if q < num_qubits]} "
+                         "already in use")
+    return tuple((q, False) for q in pads)
+
+
+def _register(num_qubits: int, extra: tuple) -> int:
+    return max([num_qubits] + [q + 1 for q, _ in extra])
+
+
+def line_emitters(nb_line: int, extra: tuple = ()) -> SuzukiEmitters:
     """Even/odd split of the Gray-order line edges.
 
     Alternating edges never share a node, so each factor is an exact product
     of one-bit two-state rotations (single multiply-controlled ROTX each).
+    extra is appended to every gate's controls.
     """
     edges = line_edges(nb_line)
-    even, odd = edges[0::2], edges[1::2]
+    even = _matching_plan(edges[0::2], nb_line, extra)
+    odd = _matching_plan(edges[1::2], nb_line, extra)
     return SuzukiEmitters(
-        num_qubits=nb_line,
-        emit_a=_per_time(lambda t: _rotations(even, t, nb_line)),
-        emit_b=_per_time(lambda t: _rotations(odd, t, nb_line)),
+        num_qubits=_register(nb_line, extra),
+        emit_a=_per_time(lambda t: _at_time(even, t)),
+        emit_b=_per_time(lambda t: _at_time(odd, t)),
     )
 
 
 def compile_line(
-    layout: FruitLayout, g_eff: float, r_line: int, nt_line: int
+    layout: FruitLayout, g_eff: float, r_line: int, nt_line: int,
+    pads: Iterable[int] = (),
 ) -> SeoProgram:
     """Product-formula approximant of the line-block exponential.
 
-    Acts on the nb_line low qubits; embedding at a global offset is done by
-    the caller via pad_controls / conjugate_by_shift.
+    Acts on the nb_line low qubits, each gate with an F control on every
+    pad qubit, as pad_controls would add; embedding at a global offset is
+    done by the caller via conjugate_by_shift.
     """
-    em = line_emitters(layout.nb_line)
+    em = line_emitters(layout.nb_line, _pad_extra(pads, layout.nb_line))
     return trotterize(lambda t: suzuki(r_line, t, em), g_eff, nt_line)
 
 
-def tree_emitters(nb_tree: int) -> SuzukiEmitters:
+def tree_emitters(nb_tree: int, extra: tuple = ()) -> SuzukiEmitters:
     """Split tree edges by parent depth parity, sub-split by child side.
 
     Edges sharing a parent land in the same depth class, so each class is
     further split into left-child and right-child matchings and emitted as a
     symmetric chain; the chain stays time-symmetric, which is all the
-    higher-order recursion needs.
+    higher-order recursion needs.  extra is appended to every gate's
+    controls.
     """
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for parent, child in tree_edges(nb_tree):
         depth = parent.bit_length() - 1
         key = (depth % 2, child % 2)
         classes.setdefault(key, []).append((parent, child))
-    even = [classes.get((0, 0), []), classes.get((0, 1), [])]
-    odd = [classes.get((1, 0), []), classes.get((1, 1), [])]
+    even, odd = (
+        [_matching_plan(classes.get((parity, side), []), nb_tree, extra)
+         for side in (0, 1)]
+        for parity in (0, 1)
+    )
     return SuzukiEmitters(
-        num_qubits=nb_tree,
-        emit_a=_per_time(lambda t: _symmetric_chain(even, t, nb_tree)),
-        emit_b=_per_time(lambda t: _symmetric_chain(odd, t, nb_tree)),
+        num_qubits=_register(nb_tree, extra),
+        emit_a=_per_time(lambda t: _symmetric_chain(even, t)),
+        emit_b=_per_time(lambda t: _symmetric_chain(odd, t)),
     )
 
 
-def compile_tree(layout: FruitLayout, g_eff: float, nt_tree: int) -> SeoProgram:
+def compile_tree(
+    layout: FruitLayout, g_eff: float, nt_tree: int, pads: Iterable[int] = ()
+) -> SeoProgram:
     """Order-4 product-formula approximant of the tree-block exponential.
 
-    Acts on the nb_tree low qubits in heap indexing (dud at state 0).
+    Acts on the nb_tree low qubits in heap indexing (dud at state 0), each
+    gate with an F control on every pad qubit, as pad_controls would add.
     """
-    em = tree_emitters(layout.nb_tree)
+    em = tree_emitters(layout.nb_tree, _pad_extra(pads, layout.nb_tree))
     return trotterize(lambda t: suzuki(TREE_ORDER, t, em), g_eff, nt_tree)
 
 
@@ -325,10 +424,9 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
 
     @_per_time
     def bulk(t: float) -> list:
-        line = pad_controls(compile_line(layout, t, spec.r_line, spec.nt_line),
-                            line_pads)
+        line = compile_line(layout, t, spec.r_line, spec.nt_line, line_pads)
         tree = conjugate_by_shift(
-            pad_controls(compile_tree(layout, t, spec.nt_tree), tree_pads),
+            compile_tree(layout, t, spec.nt_tree, tree_pads),
             layout.tree_offset,
             nb_total,
         )

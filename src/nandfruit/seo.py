@@ -13,6 +13,7 @@ no controls) by exp(i * theta).  Angles are radians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .hamiltonian import TREE_ORDER
@@ -33,7 +34,8 @@ class Gate:
     """One elementary operation.
 
     controls is a tuple of (qubit, polarity) pairs; polarity True means the
-    gate fires when that qubit is 1 ("T"), False when it is 0 ("F").
+    gate fires when that qubit is 1 ("T"), False when it is 0 ("F").  An
+    angle must be finite: a nan or inf one would turn the whole unitary nan.
     """
 
     kind: str
@@ -52,6 +54,8 @@ class Gate:
         else:
             if self.angle is None:
                 raise ValueError(f"{self.kind} needs an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} angle {self.angle!r} is not finite")
             if self.target is None and self.kind != "PHAS":
                 raise ValueError(f"{self.kind} needs a target")
         ctrl_qubits = [q for q, _ in self.controls]
@@ -100,28 +104,30 @@ class SeoProgram:
         Each distinct Loop, list and Gate object is checked once, since
         compiled programs share them between many items.
         """
-        checked = set()
+        _check(self.body, self.num_qubits, set())
 
-        def check(items):
-            for item in items:
-                if id(item) in checked:
-                    continue
-                checked.add(id(item))
-                if isinstance(item, list):
-                    check(item)
-                elif isinstance(item, Loop):
-                    if item.reps < 1:
-                        raise ValueError(f"loop has reps {item.reps} < 1")
-                    check(item.body)
-                else:
-                    for q in item.qubits():
-                        if not 0 <= q < self.num_qubits:
-                            raise ValueError(
-                                f"gate touches qubit {q} outside register of "
-                                f"{self.num_qubits}"
-                            )
 
-        check(self.body)
+# The walkers below recurse through module-level functions, not nested
+# closures: a closure that calls itself is a reference cycle, which would keep
+# the program, its text or its counts alive until the garbage collector runs.
+def _check(items, num_qubits: int, checked: set) -> None:
+    for item in items:
+        if id(item) in checked:
+            continue
+        checked.add(id(item))
+        if isinstance(item, list):
+            _check(item, num_qubits, checked)
+        elif isinstance(item, Loop):
+            if item.reps < 1:
+                raise ValueError(f"loop has reps {item.reps} < 1")
+            _check(item.body, num_qubits, checked)
+        else:
+            for q in item.qubits():
+                if not 0 <= q < num_qubits:
+                    raise ValueError(
+                        f"gate touches qubit {q} outside register of "
+                        f"{num_qubits}"
+                    )
 
 
 @dataclass
@@ -139,23 +145,22 @@ def count_elementary_ops(program: SeoProgram) -> int:
 
     A list shared by several places is counted once.
     """
-    counts: dict[int, int] = {}
+    return _count(program.body, {})
 
-    def count(items) -> int:
-        total = counts.get(id(items))
-        if total is None:
-            total = 0
-            for item in items:
-                if isinstance(item, list):
-                    total += count(item)
-                elif isinstance(item, Loop):
-                    total += item.reps * count(item.body)
-                else:
-                    total += 1
-            counts[id(items)] = total
-        return total
 
-    return count(program.body)
+def _count(items, counts: dict) -> int:
+    total = counts.get(id(items))
+    if total is None:
+        total = 0
+        for item in items:
+            if isinstance(item, list):
+                total += _count(item, counts)
+            elif isinstance(item, Loop):
+                total += item.reps * _count(item.body, counts)
+            else:
+                total += 1
+        counts[id(items)] = total
+    return total
 
 
 def expand(program: SeoProgram) -> list[Gate]:
@@ -226,25 +231,25 @@ def _program_chunks(program: SeoProgram, render_gate) -> list[str]:
         return out
 
     chunks = [f"NUM_QUBITS {program.num_qubits}\n"]
-    closed = 0
-
-    def emit(items):
-        nonlocal closed
-        for part in parts_of(items):
-            if isinstance(part, str):
-                chunks.append(part)
-            elif isinstance(part, list):
-                emit(part)
-            else:
-                at = len(chunks)
-                chunks.append("")
-                emit(part.body)
-                chunks[at] = f"LOOP {closed} REPS: {part.reps}\n"
-                chunks.append(f"NEXT {closed}\n")
-                closed += 1
-
-    emit(program.body)
+    _emit(program.body, parts_of, chunks, 0)
     return chunks
+
+
+def _emit(items, parts_of, chunks: list, closed: int) -> int:
+    """Append the chunks of items; returns the count of loops closed so far."""
+    for part in parts_of(items):
+        if isinstance(part, str):
+            chunks.append(part)
+        elif isinstance(part, list):
+            closed = _emit(part, parts_of, chunks, closed)
+        else:
+            at = len(chunks)
+            chunks.append("")
+            closed = _emit(part.body, parts_of, chunks, closed)
+            chunks[at] = f"LOOP {closed} REPS: {part.reps}\n"
+            chunks.append(f"NEXT {closed}\n")
+            closed += 1
+    return closed
 
 
 def write_english(program: SeoProgram, path) -> None:

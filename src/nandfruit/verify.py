@@ -105,29 +105,31 @@ def program_unitary(program: SeoProgram) -> np.ndarray:
     distinct loop body.  A list item is applied in place, gate by gate, on
     the running product; it gets no matrix of its own.
     """
-    dim = 2 ** program.num_qubits
-    row_cache: dict = {}
-    body_products: dict[int, np.ndarray] = {}
+    return _product(program.body, 2 ** program.num_qubits, {}, {})
 
-    def apply(items, u: np.ndarray) -> None:
-        for item in items:
-            if isinstance(item, list):
-                apply(item, u)
-            elif isinstance(item, Loop):
-                body = body_products.get(id(item.body))
-                if body is None:
-                    body = body_products[id(item.body)] = product(item.body)
-                # written back so no caller frame holds a stale u
-                u[...] = np.linalg.matrix_power(body, item.reps) @ u
-            else:
-                apply_gate(u, item, row_cache)
 
-    def product(items) -> np.ndarray:
-        u = np.eye(dim, dtype=complex)
-        apply(items, u)
-        return u
+# The walk recurses through these module-level functions, not through nested
+# closures: a closure that calls itself is a reference cycle, which would keep
+# every body product alive until the garbage collector next runs.
+def _product(items, dim: int, row_cache: dict, body_products: dict) -> np.ndarray:
+    u = np.eye(dim, dtype=complex)
+    _apply(items, u, row_cache, body_products)
+    return u
 
-    return product(program.body)
+
+def _apply(items, u: np.ndarray, row_cache: dict, body_products: dict) -> None:
+    for item in items:
+        if isinstance(item, list):
+            _apply(item, u, row_cache, body_products)
+        elif isinstance(item, Loop):
+            body = body_products.get(id(item.body))
+            if body is None:
+                body = body_products[id(item.body)] = _product(
+                    item.body, u.shape[0], row_cache, body_products)
+            # written back so no caller frame holds a stale u
+            u[...] = np.linalg.matrix_power(body, item.reps) @ u
+        else:
+            apply_gate(u, item, row_cache)
 
 
 def frobenius_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -36,7 +36,8 @@ from nandfruit import (
     write_english,
     write_picture,
 )
-from nandfruit.hamiltonian import SparseSymmetric
+from nandfruit.compilers import _rotations, tree_emitters
+from nandfruit.hamiltonian import SparseSymmetric, tree_edges
 from nandfruit.seo import Gate
 
 
@@ -157,6 +158,24 @@ class TestPadControls:
         prog = SeoProgram(2, [Gate("SIGX", 0, None, ((1, True),))])
         with pytest.raises(ValueError, match="pad"):
             pad_controls(prog, [1])
+
+    @pytest.mark.parametrize("r_meta", [2, 4])
+    def test_blocks_built_padded_equal_padded_blocks(self, r_meta):
+        # compile_fruit builds the line and tree gates with their pads
+        layout = FruitLayout.from_counts(3, 4)
+        line_pads, tree_pads = range(3, layout.nb_total), range(4, layout.nb_total)
+        line = compile_line(layout, 0.3, r_meta, 2, line_pads)
+        tree = compile_tree(layout, 0.3, 2, tree_pads)
+        assert line.num_qubits == tree.num_qubits == layout.nb_total
+        assert expand(line) == expand(
+            pad_controls(compile_line(layout, 0.3, r_meta, 2), line_pads))
+        assert expand(tree) == expand(
+            pad_controls(compile_tree(layout, 0.3, 2), tree_pads))
+
+    def test_pads_inside_the_block_rejected(self):
+        layout = FruitLayout.from_counts(3, 3)
+        with pytest.raises(ValueError, match="pad"):
+            compile_line(layout, 0.3, 2, 1, [2, 3])
 
 
 class TestConjugateByShift:
@@ -353,6 +372,24 @@ class TestTree:
         ]
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
+    def test_sweep_gate_count_at_7_qubits(self):
+        # the four matchings of tree_emitters, by parent depth parity and
+        # child side, each emitted once: merged ladders keep 408 of 768 gates
+        classes = {}
+        for parent, child in tree_edges(7):
+            key = ((parent.bit_length() - 1) % 2, child % 2)
+            classes.setdefault(key, []).append((parent, child))
+        for edges in classes.values():
+            states = [s for edge in edges for s in edge]
+            assert len(set(states)) == len(states)
+        unmerged = sum(len(two_state_rotation(p, c, 0.1, 7).body)
+                       for p, c in tree_edges(7))
+        assert unmerged == 768
+        assert sum(len(_rotations(edges, 0.1, 7)) for edges in classes.values()) == 408
+        # as the product formula uses them: A(t) + B(t) with a symmetric chain each
+        em = tree_emitters(7)
+        assert len(em.emit_a(0.1)) + len(em.emit_b(0.1)) == 609
+
     def test_zero_coupling_identity(self):
         layout = FruitLayout.from_counts(3, 3)
         u = program_unitary(compile_tree(layout, 0.0, 2))
@@ -480,33 +517,38 @@ def file_hashes(spec, tmp_path, relabel=True):
     )
 
 
-# SHA-256 of the English and Picture files of the README example, written
-# while loop ids were still drawn as the loops were built; at meta order 2
-# that order is the NEXT order the writers number by, so every byte stays
+# SHA-256 of the English and Picture files of the README example.  First
+# pinned while loop ids were still drawn as the loops were built (at meta
+# order 2 that is the NEXT order the writers number by); re-pinned when the
+# rotations of a matching began to share their CNOT ladders, which removed
+# 32 of 5592 ops and left the dense error bit-identical
 README_FILES = (
-    "83aca53eb8f659e28d37e882f9b34a29c3351febaa414236009bf69aa3fec13f",
-    "2fcb6240be6a3aa1a23ef32c03ac9e815c082ee60636f48c033374155cf19301",
+    "f1e739b239210434a26ad115248d267fbf62bc6c09bead1c6ce4ebc7d6f31043",
+    "c237662f89fb89fe81d68471be03b4f3c17fb52abc2a44431dfc77b78eab938b",
 )
 
-# SHA-256 of the English and Picture files written before the compiler
-# shared repeated bodies, with loop ids relabelled by first LOOP line (at
-# meta orders >= 4 the writers' NEXT-order ids permute the build-order ones);
-# the zero-coupling spec has both 0.0 and -0.0 angles
+# SHA-256 of the English and Picture files with loop ids relabelled by first
+# LOOP line (at meta orders >= 4 the writers' NEXT-order ids permute the
+# build-order ones); the zero-coupling spec has both 0.0 and -0.0 angles.
+# First pinned from the compiler before it shared repeated bodies; re-pinned
+# when the rotations of a matching began to share their CNOT ladders (ops
+# 27960 -> 27800, 29640 -> 29560 and 175000 -> 174200, dense errors
+# bit-identical)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "654910a3b0cff3d255495a801fffefb324783c6cbf5d9cdc7be7e85f0218abc3",
-        "960b1632dd229ff1393b744a723fc62d8b8806a97af8a57d83298b5c66f0c574",
+        "d030933ebcf0190d39f15e56346dd5a2c41489c283038ab1acb959f8d1d2d39a",
+        "4bdff40c41526aa2ceaf77908d0fb0c5c20707811e4d6f3b55046d12662dacaf",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "18d67c5cb7fda79a185e26a1c04a9f58ce178ba4388414b06caf4dfd7cb9bcd0",
-        "cf9c7a42cdb9ed0e9b104f9a3ee70ead4bf64f34277233911af21bafba659c1f",
+        "ef34a3217cf8acb57468501dcaf3bb43cbbef4781a52d7f6a2fec791c3c7e8d4",
+        "ef887ed6bfe76664ac4c3a52cf7f531b47648db06f5c279928d6a909c3524ba2",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "1a67c794d820f3cbfd137509578970beee9b66c5e1184821d4c9e4a923d4a959",
-        "78387dd5da44370f4783e11f18a48ecd73cf0f73b42e00eda0a3b9a8afa03e85",
+        "40f9309a379d5931480a5147a9942de28f3e76dd99003773ef131011a8799744",
+        "fe96e5966a160fc7ee9f41b161054c80804d019aaee6cfc48defa167d1dd411a",
     ),
 }
 

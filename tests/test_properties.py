@@ -1,21 +1,27 @@
 """Property tests over small specs: English round trips, op counts and the
-unitary of the written file."""
+unitary of the written file; and the merged-ladder rotations of one
+matching against their dense exponential."""
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nandfruit import (
     FruitSpec,
+    SeoProgram,
     compile_fruit,
     count_elementary_ops,
+    expi_hermitian,
     frobenius_distance,
     parse_english,
     program_unitary,
+    two_state_rotation,
     write_english,
 )
+from nandfruit.compilers import _rotations
 
 
 @st.composite
@@ -70,3 +76,35 @@ def test_written_file_has_the_compiled_unitary(spec):
         parsed = parse_english(path)
     assert frobenius_distance(program_unitary(program),
                               program_unitary(parsed)) <= 1e-12
+
+
+@st.composite
+def matchings(draw):
+    """(register, disjoint state pairs, theta, pad qubits above the register)."""
+    n = draw(st.integers(2, 6))
+    states = draw(st.permutations(range(2 ** n)))
+    k = draw(st.integers(0, 2 ** (n - 1)))
+    edges = [(states[2 * i], states[2 * i + 1]) for i in range(k)]
+    theta = draw(st.floats(-3.0, 3.0))
+    pads = sorted(draw(st.sets(st.integers(n, n + 1))))
+    return n, edges, theta, pads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=matchings())
+def test_merged_ladders_are_the_exact_exponential(case):
+    n, edges, theta, pads = case
+    extra = tuple((q, False) for q in pads)
+    body = _rotations(edges, theta, n, extra)
+    m = max([n] + [q + 1 for q in pads])
+    # exp(i theta sum(|a><b| + |b><a|)) on every copy of the register whose
+    # pad qubits are all 0; qubits above n that are not pads are free
+    h = np.zeros((2 ** m, 2 ** m))
+    for high in range(0, 2 ** m, 2 ** n):
+        if not any(high >> q & 1 for q in pads):
+            for a, b in edges:
+                h[high | a, high | b] = h[high | b, high | a] = theta
+    assert frobenius_distance(program_unitary(SeoProgram(m, body)),
+                              expi_hermitian(h)) <= 1e-12
+    unmerged = sum(len(two_state_rotation(a, b, theta, n).body) for a, b in edges)
+    assert len(body) <= unmerged

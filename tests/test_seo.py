@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -13,6 +14,7 @@ from nandfruit import (
     count_elementary_ops,
     expand,
     parse_english,
+    program_unitary,
     write_english,
     write_log,
     write_picture,
@@ -69,6 +71,12 @@ class TestGateInvariants:
     def test_rot_requires_angle(self):
         with pytest.raises(ValueError):
             Gate("ROTY", 0)
+
+    @pytest.mark.parametrize("kind", ["ROTX", "ROTY", "ROTZ", "PHAS"])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, kind, angle):
+        with pytest.raises(ValueError, match="not finite"):
+            Gate(kind, 0, angle)
 
     def test_target_control_clash(self):
         with pytest.raises(ValueError):
@@ -275,3 +283,15 @@ class TestParse:
         path.write_text("NUM_QUBITS 2\nSIGX AT 0\nBOGUS 1\n")
         with pytest.raises(SeoSyntaxError, match="line 3"):
             parse_english(path)
+
+    @pytest.mark.parametrize("line", ["ROTX nan AT 0", "ROTY inf AT 0"])
+    def test_non_finite_angle_rejected_before_any_unitary(self, line, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"NUM_QUBITS 1\nSIGX AT 0\n{line}\n")
+        products = []
+        # a nan angle used to reach program_unitary and warn from numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeoSyntaxError, match="line 3: .* is not finite"):
+                products.append(program_unitary(parse_english(path)))
+        assert products == []

@@ -1,3 +1,4 @@
+import gc
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from nandfruit import (
     spectral_norm,
     verify_compile,
     write_english,
+    write_picture,
 )
 from nandfruit.hamiltonian import SparseSymmetric
 
@@ -176,6 +178,24 @@ class TestLoopAwareProduct:
         assert ids != sorted(ids)
         prog = parse_english(path)
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
+
+
+    def test_cli_walkers_leave_no_reference_cycle(self, tmp_path):
+        # a cycle would keep the program, its text and the body products
+        # alive until the collector next runs, and so raise the peak memory
+        spec = FruitSpec("t", 3, 3, 0.2, 2, "0,1;3,3", nt_line=4, r_line=2,
+                         nt_tree=4, nt_meta=4, r_meta=4)
+        gc.collect()
+        gc.disable()
+        try:
+            prog, _ = compile_fruit(spec)
+            write_english(prog, tmp_path / "eng.txt")
+            write_picture(prog, tmp_path / "pic.txt")
+            program_unitary(prog)
+            del prog
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestNorms:
