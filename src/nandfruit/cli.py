@@ -14,8 +14,17 @@ from .seo import write_english, write_log, write_picture
 from .verify import DEFAULT_MAX_VERIFY_QUBITS, MAX_VERIFY_QUBITS, verify_compile
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as an InputError, after the usage line, so
+    that run() can end it in a Message line like any other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="nandfruit",
         description=(
             "Compile the NAND-formula evolution operator exp(iH) into a "
@@ -88,7 +97,11 @@ def write_outputs(program, report, spec: FruitSpec) -> None:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        print(f"Message: {exc}")
+        return 1
     if args.max_verify_qubits > MAX_VERIFY_QUBITS:
         gib = 16 * 4 ** args.max_verify_qubits / 2 ** 30
         print(

@@ -69,15 +69,12 @@ def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProg
     Identity outside span{|a>, |b>}; on the span it acts as
     [[cos t, i sin t], [i sin t, cos t]].  A CNOT ladder maps a, b to states
     differing in one bit, a single multiply-controlled ROTX(-2*theta) does
-    the rotation there, and the ladder is undone.  Within one matching,
-    _rotations shares the ladders of rotations with the same pivot, which
-    stays exact: the rotations act on disjoint pairs and commute, and CNOTs
-    from one pivot commute and are their own inverses.
+    the rotation there, and the ladder is undone.  It is the one-edge
+    matching of _rotations, the only rotation builder.  compile_fruit does
+    not call it: it builds each matching's plan once per compile, and its
+    repeated factors share gates through the product-formula recursion.
     """
-    pivot, mask, controls = _rotation_parts(a, b, num_qubits)
-    ladder = _ladder(pivot, _bits(mask))
-    rot = Gate("ROTX", target=pivot, angle=-2.0 * theta, controls=controls)
-    return SeoProgram(num_qubits, ladder + [rot] + ladder[::-1])
+    return SeoProgram(num_qubits, _rotations([(a, b)], theta, num_qubits))
 
 
 def compile_glue(layout: FruitLayout, door: int, g: float) -> SeoProgram:
@@ -123,28 +120,36 @@ def pad_controls(fragment: SeoProgram, pad_qubits: Iterable[int]) -> SeoProgram:
     pads = sorted(set(pad_qubits))
     if not pads:
         return fragment
-    pad_set = set(pads)
     extra = tuple((q, False) for q in pads)
-    # one rewrite per distinct gate, loop and sub-list, so shared ones stay shared
-    rewritten: dict[int, object] = {}
-
-    def rewrite(item):
-        out = rewritten.get(id(item))
-        if out is None:
-            if isinstance(item, list):
-                out = [rewrite(sub) for sub in item]
-            elif isinstance(item, Loop):
-                out = Loop(item.reps, rewrite(item.body))
-            else:
-                clash = item.qubits() & pad_set
-                if clash:
-                    raise ValueError(f"pad qubits {sorted(clash)} already in use")
-                out = item.with_extra_controls(extra)
-            rewritten[id(item)] = out
-        return out
-
     num_qubits = max(fragment.num_qubits, pads[-1] + 1)
-    return SeoProgram(num_qubits, rewrite(fragment.body))
+    # one rewrite per distinct gate, loop and sub-list, so shared ones stay shared
+    return SeoProgram(num_qubits, _rewrite(fragment.body, extra, set(pads), {}))
+
+
+# Recurses through itself at module level, not as a nested closure: a closure
+# that calls itself is a reference cycle, which would keep the rewrite table
+# alive until the garbage collector runs.
+def _rewrite(item, extra: tuple, pad_set: set, rewritten: dict):
+    out = rewritten.get(id(item))
+    if out is None:
+        if isinstance(item, list):
+            out = [_rewrite(sub, extra, pad_set, rewritten) for sub in item]
+        elif isinstance(item, Loop):
+            out = Loop(item.reps, _rewrite(item.body, extra, pad_set, rewritten))
+        else:
+            clash = item.qubits() & pad_set
+            if clash:
+                raise ValueError(f"pad qubits {sorted(clash)} already in use")
+            out = item.with_extra_controls(extra)
+        rewritten[id(item)] = out
+    return out
+
+
+def _shift_bodies(k: int, num_qubits: int) -> tuple[list, list]:
+    """The bodies of shift(-k) and shift(k), which move a block sitting at
+    offset 0 into offset k and back out."""
+    out = compile_shift(k, num_qubits).body  # first, to check k is in range
+    return compile_shift(-k % 2 ** num_qubits, num_qubits).body, out
 
 
 def conjugate_by_shift(fragment: SeoProgram, k: int, num_qubits: int) -> SeoProgram:
@@ -154,34 +159,10 @@ def conjugate_by_shift(fragment: SeoProgram, k: int, num_qubits: int) -> SeoProg
     that order this realizes shift(k) . U . shift(k)^dagger as a matrix,
     which moves the block from offset 0 to offset k.
     """
-    dim = 2 ** num_qubits
-    if not 0 <= k < dim:
-        raise ValueError(f"shift {k} out of range for {num_qubits} qubits")
     if fragment.num_qubits > num_qubits:
         raise ValueError("fragment larger than target register")
-    fwd = compile_shift(k, num_qubits)
-    back = compile_shift((dim - k) % dim, num_qubits)
-    return SeoProgram(num_qubits, back.body + fragment.body + fwd.body)
-
-
-def _per_time(emit: Callable[[float], list]) -> Callable[[float], list]:
-    """emit, evaluated once per distinct time and shared afterwards.
-
-    Keyed on the exact bits of t: 0.0 == -0.0, but the two render
-    differently (an order >= 4 formula at zero coupling has both).  The
-    cache lives as long as the returned function, which every compile call
-    makes afresh.
-    """
-    bodies: dict[str, list] = {}
-
-    def memo(t: float) -> list:
-        key = float(t).hex()
-        body = bodies.get(key)
-        if body is None:
-            body = bodies[key] = emit(t)
-        return body
-
-    return memo
+    into, out = _shift_bodies(k, num_qubits)
+    return SeoProgram(num_qubits, into + fragment.body + out)
 
 
 @dataclass
@@ -190,8 +171,11 @@ class SuzukiEmitters:
 
     emit_a(t) and emit_b(t) return program bodies (lists of items) realizing
     the respective factor at coupling t.  Both must be time-symmetric
-    (emitter(-t) inverts emitter(t)) for orders above 2 to hold.  An emitter
-    may return the same list for equal times; callers must not mutate it.
+    (emitter(-t) inverts emitter(t)) for orders above 2 to hold.  The
+    compiler's emitters only stamp angles onto matching plans built once per
+    compile.  Sharing comes from the recursion: _suzuki_body builds each
+    sub-formula once and places its list wherever it repeats, so neither an
+    emitted list nor the formula may be mutated.
     """
 
     num_qubits: int
@@ -236,6 +220,11 @@ def trotterize(
     return SeoProgram(single.num_qubits, [Loop(n_trots, single.body)])
 
 
+def _formula(order: int, em: SuzukiEmitters, g: float, n_trots: int) -> SeoProgram:
+    """The order-`order` formula over em at g / n_trots, n_trots times."""
+    return trotterize(lambda t: suzuki(order, t, em), g, n_trots)
+
+
 def _gray_rank(code: int) -> int:
     """Position of code in the reflected Gray sequence (inverse Gray code)."""
     rank = 0
@@ -259,6 +248,11 @@ def _rotations(
     Gray order makes neighbouring ladders differ in few CNOTs.  The last
     ladder is undone at the end.  extra is appended to every gate's
     controls (the F controls of pad qubits above num_qubits).
+
+    This is the one rotation builder, for one time; compile_fruit instead
+    builds each matching's plan once per compile and stamps every time's
+    angles onto it with _at_time.  Repeats share their gates because the
+    product-formula recursion builds each sub-formula once.
     """
     return _at_time(_matching_plan(edges, num_qubits, extra), theta)
 
@@ -268,8 +262,8 @@ def _matching_plan(
 ) -> tuple[list, list]:
     """The part of _rotations that does not depend on theta: per rotation,
     the CNOTs before it, its pivot and its controls; then the CNOTs that
-    undo the last ladder.  Emitters build it once per matching, so its
-    CNOT gates are shared by every time."""
+    undo the last ladder.  compile_fruit builds it once per matching per
+    compile, so its CNOT gates are shared by every time."""
     rots = sorted(
         ((_rotation_parts(min(a, b), max(a, b), num_qubits), min(a, b))
          for a, b in edges),
@@ -318,35 +312,36 @@ def _symmetric_chain(plans: list[tuple[list, list]], t: float) -> list:
     return body
 
 
-def _pad_extra(pads: Iterable[int], num_qubits: int) -> tuple:
-    """The F controls pad_controls would add for pads above a block of
-    num_qubits qubits, for emitters that build padded gates directly."""
+def _chain_emitters(num_qubits: int, pads: Iterable[int], a_matchings: list,
+                    b_matchings: list) -> SuzukiEmitters:
+    """Emitters whose factors are symmetric chains over the given matchings.
+
+    Each matching's plan is built here, once, every gate with an F control
+    on each pad qubit above the block, as pad_controls would add; emitting
+    a factor at a time only stamps the angles.
+    """
     pads = sorted(set(pads))
     if pads and pads[0] < num_qubits:
         raise ValueError(f"pad qubits {[q for q in pads if q < num_qubits]} "
                          "already in use")
-    return tuple((q, False) for q in pads)
+    extra = tuple((q, False) for q in pads)
+    a = [_matching_plan(edges, num_qubits, extra) for edges in a_matchings]
+    b = [_matching_plan(edges, num_qubits, extra) for edges in b_matchings]
+    return SuzukiEmitters(
+        num_qubits=pads[-1] + 1 if pads else num_qubits,
+        emit_a=lambda t: _symmetric_chain(a, t),
+        emit_b=lambda t: _symmetric_chain(b, t),
+    )
 
 
-def _register(num_qubits: int, extra: tuple) -> int:
-    return max([num_qubits] + [q + 1 for q, _ in extra])
-
-
-def line_emitters(nb_line: int, extra: tuple = ()) -> SuzukiEmitters:
+def line_emitters(nb_line: int, pads: Iterable[int] = ()) -> SuzukiEmitters:
     """Even/odd split of the Gray-order line edges.
 
     Alternating edges never share a node, so each factor is an exact product
     of one-bit two-state rotations (single multiply-controlled ROTX each).
-    extra is appended to every gate's controls.
     """
     edges = line_edges(nb_line)
-    even = _matching_plan(edges[0::2], nb_line, extra)
-    odd = _matching_plan(edges[1::2], nb_line, extra)
-    return SuzukiEmitters(
-        num_qubits=_register(nb_line, extra),
-        emit_a=_per_time(lambda t: _at_time(even, t)),
-        emit_b=_per_time(lambda t: _at_time(odd, t)),
-    )
+    return _chain_emitters(nb_line, pads, [edges[0::2]], [edges[1::2]])
 
 
 def compile_line(
@@ -359,18 +354,16 @@ def compile_line(
     pad qubit, as pad_controls would add; embedding at a global offset is
     done by the caller via conjugate_by_shift.
     """
-    em = line_emitters(layout.nb_line, _pad_extra(pads, layout.nb_line))
-    return trotterize(lambda t: suzuki(r_line, t, em), g_eff, nt_line)
+    return _formula(r_line, line_emitters(layout.nb_line, pads), g_eff, nt_line)
 
 
-def tree_emitters(nb_tree: int, extra: tuple = ()) -> SuzukiEmitters:
+def tree_emitters(nb_tree: int, pads: Iterable[int] = ()) -> SuzukiEmitters:
     """Split tree edges by parent depth parity, sub-split by child side.
 
     Edges sharing a parent land in the same depth class, so each class is
     further split into left-child and right-child matchings and emitted as a
     symmetric chain; the chain stays time-symmetric, which is all the
-    higher-order recursion needs.  extra is appended to every gate's
-    controls.
+    higher-order recursion needs.
     """
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for parent, child in tree_edges(nb_tree):
@@ -378,15 +371,9 @@ def tree_emitters(nb_tree: int, extra: tuple = ()) -> SuzukiEmitters:
         key = (depth % 2, child % 2)
         classes.setdefault(key, []).append((parent, child))
     even, odd = (
-        [_matching_plan(classes.get((parity, side), []), nb_tree, extra)
-         for side in (0, 1)]
-        for parity in (0, 1)
+        [classes.get((parity, side), []) for side in (0, 1)] for parity in (0, 1)
     )
-    return SuzukiEmitters(
-        num_qubits=_register(nb_tree, extra),
-        emit_a=_per_time(lambda t: _symmetric_chain(even, t)),
-        emit_b=_per_time(lambda t: _symmetric_chain(odd, t)),
-    )
+    return _chain_emitters(nb_tree, pads, even, odd)
 
 
 def compile_tree(
@@ -397,8 +384,7 @@ def compile_tree(
     Acts on the nb_tree low qubits in heap indexing (dud at state 0), each
     gate with an F control on every pad qubit, as pad_controls would add.
     """
-    em = tree_emitters(layout.nb_tree, _pad_extra(pads, layout.nb_tree))
-    return trotterize(lambda t: suzuki(TREE_ORDER, t, em), g_eff, nt_tree)
+    return _formula(TREE_ORDER, tree_emitters(layout.nb_tree, pads), g_eff, nt_tree)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -410,34 +396,33 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     two factors feed a meta product formula of order r_meta, repeated
     nt_meta times via Trotter's trick.
 
-    Each factor is built once per distinct time and shared: the program may
-    hold the same Gate, Loop and list objects in many places, so treat it as
-    immutable.  Product formulas keep their factors and repeats as sub-lists
-    spliced in place (see SeoProgram), so the program does not compare equal
-    to the flat one parse_english reads back from its English file, though
-    both write the same file and have the same unitary.
+    Each piece is built once per call: the line and tree emitters (so each
+    matching's plan, pad controls included, is built once per compile), the
+    shift bodies into and out of the tree offset, and the glue and oracle
+    plans; a factor at a time only stamps angles onto them.  Repeated
+    factors are shared by the product-formula recursion, which builds each
+    sub-formula once, so the program holds the same Gate, Loop and list
+    objects in many places; treat it as immutable.  Since factors stay
+    sub-lists spliced in place (see SeoProgram), the program does not
+    compare equal to the flat one parse_english reads back from its English
+    file, though both write the same file and have the same unitary.
     """
     layout, x = spec.resolve()
     nb_total = layout.nb_total
-    line_pads = range(spec.nb_line, nb_total)
-    tree_pads = range(spec.nb_tree, nb_total)
+    line = line_emitters(layout.nb_line, range(layout.nb_line, nb_total))
+    tree = tree_emitters(layout.nb_tree, range(layout.nb_tree, nb_total))
+    shift_in, shift_out = _shift_bodies(layout.tree_offset, nb_total)
+    glue = _matching_plan(glue_edges(layout, spec.door), nb_total)
+    oracle = _matching_plan(oracle_edges(layout, x), nb_total)
 
-    @_per_time
     def bulk(t: float) -> list:
-        line = compile_line(layout, t, spec.r_line, spec.nt_line, line_pads)
-        tree = conjugate_by_shift(
-            compile_tree(layout, t, spec.nt_tree, tree_pads),
-            layout.tree_offset,
-            nb_total,
-        )
-        return line.body + tree.body
+        return (_formula(spec.r_line, line, t, spec.nt_line).body + shift_in
+                + _formula(TREE_ORDER, tree, t, spec.nt_tree).body + shift_out)
 
-    @_per_time
-    def emit_corr(t: float) -> list:
-        return (compile_glue(layout, spec.door, t).body
-                + compile_oracle(layout, x, t).body)
+    def corr(t: float) -> list:
+        return _at_time(glue, t) + _at_time(oracle, t)
 
-    em = SuzukiEmitters(num_qubits=nb_total, emit_a=bulk, emit_b=emit_corr)
-    program = trotterize(lambda t: suzuki(spec.r_meta, t, em), spec.g, spec.nt_meta)
+    em = SuzukiEmitters(num_qubits=nb_total, emit_a=bulk, emit_b=corr)
+    program = _formula(spec.r_meta, em, spec.g, spec.nt_meta)
     program.validate()
     return program, CompileReport(nb_total, count_elementary_ops(program))

@@ -53,7 +53,7 @@ def gray_code(n: int) -> list[int]:
 
 @dataclass
 class SparseSymmetric:
-    """Real symmetric matrix stored as weighted index pairs plus a diagonal.
+    """Real symmetric matrix with a zero diagonal, as weighted index pairs.
 
     Each off-diagonal entry (i, j, w) with i < j stands for both H[i][j]
     and H[j][i].
@@ -61,7 +61,6 @@ class SparseSymmetric:
 
     dim: int
     off_diagonal: dict[tuple[int, int], float] = field(default_factory=dict)
-    diagonal: dict[int, float] = field(default_factory=dict)
 
     @classmethod
     def from_edges(cls, dim: int, edges: list, w: float) -> SparseSymmetric:
@@ -73,7 +72,7 @@ class SparseSymmetric:
 
     def set_pair(self, i: int, j: int, w: float) -> None:
         if i == j:
-            raise ValueError("diagonal entries go in .diagonal")
+            raise ValueError(f"index pair ({i}, {j}) is on the diagonal, which is zero")
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise ValueError(f"index pair ({i}, {j}) out of range for dim {self.dim}")
         key = (min(i, j), max(i, j))
@@ -88,8 +87,6 @@ class SparseSymmetric:
         h = np.zeros((self.dim, self.dim))
         for (i, j), w in self.off_diagonal.items():
             h[i, j] = h[j, i] = w
-        for k, w in self.diagonal.items():
-            h[k, k] = w
         return h
 
     def embedded(self, dim: int, offset: int = 0) -> "SparseSymmetric":
@@ -99,18 +96,14 @@ class SparseSymmetric:
         out = SparseSymmetric(dim)
         for (i, j), w in self.off_diagonal.items():
             out.off_diagonal[(i + offset, j + offset)] = w
-        for k, w in self.diagonal.items():
-            out.diagonal[k + offset] = w
         return out
 
     def __add__(self, other: "SparseSymmetric") -> "SparseSymmetric":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = SparseSymmetric(self.dim, dict(self.off_diagonal), dict(self.diagonal))
+        out = SparseSymmetric(self.dim, dict(self.off_diagonal))
         for key, w in other.off_diagonal.items():
             out.off_diagonal[key] = out.off_diagonal.get(key, 0.0) + w
-        for k, w in other.diagonal.items():
-            out.diagonal[k] = out.diagonal.get(k, 0.0) + w
         return out
 
 

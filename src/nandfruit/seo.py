@@ -166,19 +166,19 @@ def _count(items, counts: dict) -> int:
 def expand(program: SeoProgram) -> list[Gate]:
     """Unroll all loops into a flat gate list, in execution order."""
     out: list[Gate] = []
-
-    def walk(items):
-        for item in items:
-            if isinstance(item, list):
-                walk(item)
-            elif isinstance(item, Loop):
-                for _ in range(item.reps):
-                    walk(item.body)
-            else:
-                out.append(item)
-
-    walk(program.body)
+    _unroll(program.body, out)
     return out
+
+
+def _unroll(items, out: list) -> None:
+    for item in items:
+        if isinstance(item, list):
+            _unroll(item, out)
+        elif isinstance(item, Loop):
+            for _ in range(item.reps):
+                _unroll(item.body, out)
+        else:
+            out.append(item)
 
 
 def _format_controls(controls) -> str:

@@ -165,6 +165,21 @@ class TestRun:
             assert math.isfinite(float(out["Error"]))
             assert out["Message"] == "OK"
 
+    def test_bad_int_ends_in_a_message(self, tmp_path, capsys):
+        assert run(base_args(tmp_path / "bad", **{"--line-qubits": "x"})) == 1
+        out = capsys.readouterr()
+        assert out.out == "Message: argument --line-qubits: invalid int value: 'x'\n"
+        assert out.err.startswith("usage: nandfruit")
+        assert not any(tmp_path.iterdir())
+
+    def test_missing_required_flag_ends_in_a_message(self, tmp_path, capsys):
+        argv = base_args(tmp_path / "bad")
+        del argv[argv.index("--coupling"):argv.index("--coupling") + 2]
+        assert run(argv) == 1
+        assert output_fields(capsys)["Message"] == (
+            "the following arguments are required: --coupling")
+        assert not any(tmp_path.iterdir())
+
     def test_loop_line_in_english_file(self, tmp_path, capsys):
         run(base_args(tmp_path / "lp", **{"--meta-trots": "8"}))
         capsys.readouterr()

@@ -36,6 +36,7 @@ from nandfruit import (
     write_english,
     write_picture,
 )
+from nandfruit import compilers
 from nandfruit.compilers import _rotations, tree_emitters
 from nandfruit.hamiltonian import SparseSymmetric, tree_edges
 from nandfruit.seo import Gate
@@ -587,6 +588,21 @@ class TestSharedBodies:
         loops = meta_body_loops(compile_fruit(readme_spec(r_meta=4))[0])
         assert len(loops) == 20
         assert len({id(loop.body) for loop in loops}) == 4
+
+    @pytest.mark.parametrize("spec", [
+        FruitSpec("c9", 7, 7, 0.2, 5, "0,20;40,60", nt_line=4, r_line=4,
+                  nt_tree=4, nt_meta=4, r_meta=4),
+        readme_spec(r_meta=6),
+    ], ids=["compile-9q", "readme-meta6"])
+    def test_each_matching_plan_is_built_once_per_compile(self, spec, monkeypatch):
+        # two line matchings, four tree matchings, the glue and the oracle,
+        # whatever the number of distinct times the meta formula has
+        calls = []
+        build = compilers._matching_plan
+        monkeypatch.setattr(compilers, "_matching_plan",
+                            lambda *args: calls.append(args) or build(*args))
+        compile_fruit(spec)
+        assert len(calls) == 8
 
     def test_no_cache_outlives_a_compile_call(self, tmp_path):
         # B has A's times on a larger register, so a cache kept between

@@ -15,7 +15,12 @@ from nandfruit import (
     num_qubits_required,
     parse_bands,
 )
-from nandfruit.hamiltonian import MAX_COUPLING, MAX_ENGLISH_LINES, line_edges
+from nandfruit.hamiltonian import (
+    MAX_COUPLING,
+    MAX_ENGLISH_LINES,
+    SparseSymmetric,
+    line_edges,
+)
 
 
 def pair_set(h):
@@ -206,6 +211,10 @@ class TestAssemble:
         hg, ho = blocks.glue.to_dense(), blocks.ora.to_dense()
         assert np.all(hl @ ht - ht @ hl == 0)
         assert np.all(hg @ ho - ho @ hg == 0)
+
+    def test_pair_on_the_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            SparseSymmetric(4).set_pair(2, 2, 0.5)
 
 
 class TestSpecValidation:

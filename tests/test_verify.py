@@ -15,6 +15,7 @@ from nandfruit import (
     expand,
     expi_hermitian,
     frobenius_distance,
+    pad_controls,
     parse_english,
     program_unitary,
     spectral_norm,
@@ -193,6 +194,20 @@ class TestLoopAwareProduct:
             write_picture(prog, tmp_path / "pic.txt")
             program_unitary(prog)
             del prog
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("walk", [expand, lambda prog: pad_controls(prog, [5])],
+                             ids=["expand", "pad_controls"])
+    def test_library_walkers_leave_no_reference_cycle(self, walk):
+        spec = FruitSpec("t", 3, 3, 0.2, 2, "0,1;3,3", nt_line=4, r_line=2,
+                         nt_tree=4, nt_meta=4, r_meta=4)
+        prog, _ = compile_fruit(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            walk(prog)
             assert gc.collect() == 0
         finally:
             gc.enable()
