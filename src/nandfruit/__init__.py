@@ -6,7 +6,6 @@ verifies the result by dense simulation.
 """
 
 from .compilers import (
-    SuzukiEmitters,
     compile_fruit,
     compile_glue,
     compile_line,
@@ -57,7 +56,7 @@ from .verify import (
 __all__ = [
     "CompileReport", "FruitHamiltonians", "FruitLayout", "FruitSpec", "Gate",
     "InputError", "Loop", "NandInputs", "SeoProgram", "SeoSyntaxError",
-    "SparseSymmetric", "SuzukiEmitters", "assemble_fruit",
+    "SparseSymmetric", "assemble_fruit",
     "build_line_hamiltonian", "build_tree_hamiltonian", "compile_fruit",
     "compile_glue", "compile_line", "compile_oracle", "compile_shift",
     "compile_tree", "conjugate_by_shift", "count_elementary_ops",

@@ -102,6 +102,10 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"Message: {exc}")
         return 1
+    if args.max_verify_qubits < 0:
+        print(f"Message: --max-verify-qubits must be >= 0, "
+              f"got {args.max_verify_qubits}")
+        return 1
     if args.max_verify_qubits > MAX_VERIFY_QUBITS:
         gib = 16 * 4 ** args.max_verify_qubits / 2 ** 30
         print(

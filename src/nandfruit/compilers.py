@@ -10,7 +10,7 @@ are not allowed anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .hamiltonian import (
@@ -165,64 +165,40 @@ def conjugate_by_shift(fragment: SeoProgram, k: int, num_qubits: int) -> SeoProg
     return SeoProgram(num_qubits, into + fragment.body + out)
 
 
-@dataclass
-class SuzukiEmitters:
-    """The two exponential factors a product formula alternates between.
+def suzuki(order: int, t: float, emit_a: Callable[[float], list],
+           emit_b: Callable[[float], list]) -> list:
+    """Product-formula approximant of exp((A+B)t), as a program body.
 
-    emit_a(t) and emit_b(t) return program bodies (lists of items) realizing
-    the respective factor at coupling t.  Both must be time-symmetric
-    (emitter(-t) inverts emitter(t)) for orders above 2 to hold.  The
-    compiler's emitters only stamp angles onto matching plans built once per
-    compile.  Sharing comes from the recursion: _suzuki_body builds each
-    sub-formula once and places its list wherever it repeats, so neither an
-    emitted list nor the formula may be mutated.
-    """
-
-    num_qubits: int
-    emit_a: Callable[[float], list]
-    emit_b: Callable[[float], list]
-
-
-def _suzuki_body(order: int, t: float, em: SuzukiEmitters) -> list:
-    """The formula as sub-lists spliced in place; repeats are one list."""
-    if order == 2:
-        half = em.emit_a(t / 2)
-        return [half, em.emit_b(t), half]
-    p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
-    outer = _suzuki_body(order - 2, p * t, em)
-    middle = _suzuki_body(order - 2, (1.0 - 4.0 * p) * t, em)
-    return [outer, outer, middle, outer, outer]
-
-
-def suzuki(order: int, t: float, em: SuzukiEmitters) -> SeoProgram:
-    """Product-formula approximant of exp((A+B)t) from the two emitters.
-
-    Order 2 is the symmetric split A(t/2) B(t) A(t/2); higher even orders
-    follow the fractal recursion with p = 1/(4 - 4^(1/(order-1))).  The body
-    is not flattened: each factor and each sub-formula is one sub-list, and
-    a repeat is the same list again, as in [outer, outer, middle, outer,
-    outer].
+    emit_a(t) and emit_b(t) return bodies realizing the two factors at
+    coupling t; for orders above 2 both must be time-symmetric (emitting at
+    -t inverts emitting at t).  Order 2 is the symmetric split A(t/2) B(t)
+    A(t/2), the one split of the compiler: the matching chains of the
+    emitters and the meta formula are built from it too.  Higher even
+    orders follow the fractal recursion with p = 1/(4 - 4^(1/(order-1))).
+    The body is not flattened: each factor and each sub-formula is one
+    sub-list, built once, and a repeat is the same list again, as in
+    [half, b, half] and [outer, outer, middle, outer, outer].  So neither an
+    emitted list nor the body may be mutated.
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be even, got {order}")
-    return SeoProgram(em.num_qubits, _suzuki_body(order, t, em))
+    if order == 2:
+        half = emit_a(t / 2)
+        return [half, emit_b(t), half]
+    p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
+    outer = suzuki(order - 2, p * t, emit_a, emit_b)
+    middle = suzuki(order - 2, (1.0 - 4.0 * p) * t, emit_a, emit_b)
+    return [outer, outer, middle, outer, outer]
 
 
-def trotterize(
-    builder: Callable[[float], SeoProgram], g: float, n_trots: int
-) -> SeoProgram:
-    """Raise a scaled approximant to the n_trots-th power via a LOOP."""
+def trotterize(order: int, emit_a: Callable[[float], list],
+               emit_b: Callable[[float], list], g: float, n_trots: int) -> list:
+    """The order-`order` formula at g / n_trots, repeated n_trots times via
+    a LOOP (Trotter's trick), as a program body."""
     if n_trots < 1:
         raise InputError(f"trot count must be positive, got {n_trots}")
-    single = builder(g / n_trots)
-    if n_trots == 1:
-        return single
-    return SeoProgram(single.num_qubits, [Loop(n_trots, single.body)])
-
-
-def _formula(order: int, em: SuzukiEmitters, g: float, n_trots: int) -> SeoProgram:
-    """The order-`order` formula over em at g / n_trots, n_trots times."""
-    return trotterize(lambda t: suzuki(order, t, em), g, n_trots)
+    body = suzuki(order, g / n_trots, emit_a, emit_b)
+    return body if n_trots == 1 else [Loop(n_trots, body)]
 
 
 def _gray_rank(code: int) -> int:
@@ -292,56 +268,43 @@ def _at_time(plan: tuple[list, list], theta: float) -> list:
     return body + tail
 
 
-def _symmetric_chain(plans: list[tuple[list, list]], t: float) -> list:
-    """Time-symmetric order-2 split over several matchings, given as plans.
-
-    Emits M1(t/2) ... M_{m-1}(t/2) M_m(t) M_{m-1}(t/2) ... M1(t/2); each
-    factor is exact, and the chain inverts under t -> -t so it can feed the
-    higher-order recursion.
-    """
-    plans = [plan for plan in plans if plan[0]]
-    if not plans:
-        return []
-    head, last = plans[:-1], plans[-1]
-    body = []
-    for plan in head:
-        body += _at_time(plan, t / 2)
-    body += _at_time(last, t)
-    for plan in reversed(head):
-        body += _at_time(plan, t / 2)
-    return body
-
-
-def _chain_emitters(num_qubits: int, pads: Iterable[int], a_matchings: list,
-                    b_matchings: list) -> SuzukiEmitters:
-    """Emitters whose factors are symmetric chains over the given matchings.
-
-    Each matching's plan is built here, once, every gate with an F control
-    on each pad qubit above the block, as pad_controls would add; emitting
-    a factor at a time only stamps the angles.
-    """
+def _pad_extra(num_qubits: int, pads: Iterable[int]) -> tuple:
+    """The F controls on pad qubits above a block, as pad_controls would add."""
     pads = sorted(set(pads))
     if pads and pads[0] < num_qubits:
         raise ValueError(f"pad qubits {[q for q in pads if q < num_qubits]} "
                          "already in use")
-    extra = tuple((q, False) for q in pads)
-    a = [_matching_plan(edges, num_qubits, extra) for edges in a_matchings]
-    b = [_matching_plan(edges, num_qubits, extra) for edges in b_matchings]
-    return SuzukiEmitters(
-        num_qubits=pads[-1] + 1 if pads else num_qubits,
-        emit_a=lambda t: _symmetric_chain(a, t),
-        emit_b=lambda t: _symmetric_chain(b, t),
-    )
+    return tuple((q, False) for q in pads)
 
 
-def line_emitters(nb_line: int, pads: Iterable[int] = ()) -> SuzukiEmitters:
-    """Even/odd split of the Gray-order line edges.
+def _chain(matchings: list, num_qubits: int, extra: tuple) -> Callable[[float], list]:
+    """Emitter of the time-symmetric chain over the nonempty matchings.
 
-    Alternating edges never share a node, so each factor is an exact product
-    of one-bit two-state rotations (single multiply-controlled ROTX each).
+    One matching is its exact exponential; more are the order-2 split of
+    the first and the chain of the rest, M1(t/2) ... Mm(t) ... M1(t/2), so
+    each half step is one shared list.  Each matching's plan is built here,
+    once; emitting at a time only stamps the angles.
     """
+    plans = [_matching_plan(edges, num_qubits, extra) for edges in matchings if edges]
+    if not plans:
+        return lambda t: []
+    emit = partial(_at_time, plans[-1])
+    for plan in reversed(plans[:-1]):
+        emit = partial(suzuki, 2, emit_a=partial(_at_time, plan), emit_b=emit)
+    return emit
+
+
+def line_emitters(nb_line: int, pads: Iterable[int] = ()) -> tuple:
+    """(emit_a, emit_b): the even/odd split of the Gray-order line edges.
+
+    Alternating edges never share a node, so each factor is one matching,
+    an exact product of one-bit two-state rotations (single
+    multiply-controlled ROTX each).  Every gate has an F control on each
+    pad qubit above the block.
+    """
+    extra = _pad_extra(nb_line, pads)
     edges = line_edges(nb_line)
-    return _chain_emitters(nb_line, pads, [edges[0::2]], [edges[1::2]])
+    return _chain([edges[0::2]], nb_line, extra), _chain([edges[1::2]], nb_line, extra)
 
 
 def compile_line(
@@ -354,26 +317,29 @@ def compile_line(
     pad qubit, as pad_controls would add; embedding at a global offset is
     done by the caller via conjugate_by_shift.
     """
-    return _formula(r_line, line_emitters(layout.nb_line, pads), g_eff, nt_line)
+    pads = set(pads)
+    body = trotterize(r_line, *line_emitters(layout.nb_line, pads), g_eff, nt_line)
+    return SeoProgram(max(pads, default=layout.nb_line - 1) + 1, body)
 
 
-def tree_emitters(nb_tree: int, pads: Iterable[int] = ()) -> SuzukiEmitters:
-    """Split tree edges by parent depth parity, sub-split by child side.
+def tree_emitters(nb_tree: int, pads: Iterable[int] = ()) -> tuple:
+    """(emit_a, emit_b): tree edges split by parent depth parity.
 
     Edges sharing a parent land in the same depth class, so each class is
-    further split into left-child and right-child matchings and emitted as a
-    symmetric chain; the chain stays time-symmetric, which is all the
-    higher-order recursion needs.
+    further split into left-child and right-child matchings and emitted as
+    their chain, which stays time-symmetric, all the higher-order recursion
+    needs.  Every gate has an F control on each pad qubit above the block.
     """
+    extra = _pad_extra(nb_tree, pads)
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for parent, child in tree_edges(nb_tree):
         depth = parent.bit_length() - 1
         key = (depth % 2, child % 2)
         classes.setdefault(key, []).append((parent, child))
-    even, odd = (
-        [classes.get((parity, side), []) for side in (0, 1)] for parity in (0, 1)
+    return tuple(
+        _chain([classes.get((parity, side), []) for side in (0, 1)], nb_tree, extra)
+        for parity in (0, 1)
     )
-    return _chain_emitters(nb_tree, pads, even, odd)
 
 
 def compile_tree(
@@ -384,7 +350,9 @@ def compile_tree(
     Acts on the nb_tree low qubits in heap indexing (dud at state 0), each
     gate with an F control on every pad qubit, as pad_controls would add.
     """
-    return _formula(TREE_ORDER, tree_emitters(layout.nb_tree, pads), g_eff, nt_tree)
+    pads = set(pads)
+    body = trotterize(TREE_ORDER, *tree_emitters(layout.nb_tree, pads), g_eff, nt_tree)
+    return SeoProgram(max(pads, default=layout.nb_tree - 1) + 1, body)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -394,18 +362,21 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     offset ns_line (projector padding plus state shifting); the corrections
     factor is the exact glue and oracle rotations in global indices.  The
     two factors feed a meta product formula of order r_meta, repeated
-    nt_meta times via Trotter's trick.
+    nt_meta times via Trotter's trick.  Every product formula, the matching
+    chains of the tree factors included, is built from suzuki's one
+    symmetric split.
 
     Each piece is built once per call: the line and tree emitters (so each
     matching's plan, pad controls included, is built once per compile), the
     shift bodies into and out of the tree offset, and the glue and oracle
     plans; a factor at a time only stamps angles onto them.  Repeated
-    factors are shared by the product-formula recursion, which builds each
-    sub-formula once, so the program holds the same Gate, Loop and list
-    objects in many places; treat it as immutable.  Since factors stay
-    sub-lists spliced in place (see SeoProgram), the program does not
-    compare equal to the flat one parse_english reads back from its English
-    file, though both write the same file and have the same unitary.
+    factors and half steps are shared by the product-formula recursion,
+    which builds each sub-formula once, so the program holds the same Gate,
+    Loop and list objects in many places; treat it as immutable.  Since
+    factors stay sub-lists spliced in place (see SeoProgram), the program
+    does not compare equal to the flat one parse_english reads back from
+    its English file, though both write the same file and have the same
+    unitary.
     """
     layout, x = spec.resolve()
     nb_total = layout.nb_total
@@ -416,13 +387,13 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     oracle = _matching_plan(oracle_edges(layout, x), nb_total)
 
     def bulk(t: float) -> list:
-        return (_formula(spec.r_line, line, t, spec.nt_line).body + shift_in
-                + _formula(TREE_ORDER, tree, t, spec.nt_tree).body + shift_out)
+        return (trotterize(spec.r_line, *line, t, spec.nt_line) + shift_in
+                + trotterize(TREE_ORDER, *tree, t, spec.nt_tree) + shift_out)
 
     def corr(t: float) -> list:
         return _at_time(glue, t) + _at_time(oracle, t)
 
-    em = SuzukiEmitters(num_qubits=nb_total, emit_a=bulk, emit_b=corr)
-    program = _formula(spec.r_meta, em, spec.g, spec.nt_meta)
+    body = trotterize(spec.r_meta, bulk, corr, spec.g, spec.nt_meta)
+    program = SeoProgram(nb_total, body)
     program.validate()
     return program, CompileReport(nb_total, count_elementary_ops(program))

@@ -172,7 +172,8 @@ class FruitSpec:
         """Upper bound on the lines of the English file, found without compiling.
 
         An order-r formula over factors A and B writes 5^(r/2-1) (2 lines(A) +
-        lines(B)) lines, its LOOP 2 more; exact but for shifts, glue and oracle.
+        lines(B)) lines, its LOOP 2 more.  Each tree rotation is counted with
+        full ladders, though the rotations of a matching share CNOTs.
         """
         layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
         n = layout.nb_total

@@ -148,6 +148,13 @@ class TestRun:
         assert "GiB" in out["Message"]
         assert not any(tmp_path.iterdir())
 
+    def test_negative_verify_cap_rejected(self, tmp_path, capsys):
+        argv = base_args(tmp_path / "neg", **{"--max-verify-qubits": "-3"})
+        assert run(argv) == 1
+        out = output_fields(capsys)
+        assert out["Message"] == "--max-verify-qubits must be >= 0, got -3"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("coupling,code", [("1e308", 1), (str(2.0 ** 52), 0)])
     def test_coupling_bounded_so_the_error_stays_finite(self, tmp_path, capsys,
                                                         coupling, code):

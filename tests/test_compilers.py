@@ -12,7 +12,6 @@ from nandfruit import (
     InputError,
     Loop,
     SeoProgram,
-    SuzukiEmitters,
     assemble_fruit,
     build_line_hamiltonian,
     build_tree_hamiltonian,
@@ -23,6 +22,7 @@ from nandfruit import (
     compile_shift,
     compile_tree,
     conjugate_by_shift,
+    count_elementary_ops,
     expand,
     expi_hermitian,
     frobenius_distance,
@@ -31,6 +31,7 @@ from nandfruit import (
     parse_english,
     program_unitary,
     suzuki,
+    trotterize,
     two_state_rotation,
     verify_compile,
     write_english,
@@ -249,32 +250,27 @@ class TestGlueOracle:
         assert frobenius_distance(fwd, rev) <= 1e-12
 
 
-def recording_emitters(calls_a, calls_b):
-    def emit_a(t):
-        calls_a.append(t)
-        return []
-
-    def emit_b(t):
-        calls_b.append(t)
-        return []
-
-    return SuzukiEmitters(num_qubits=1, emit_a=emit_a, emit_b=emit_b)
+def empty_emitter(t):
+    return []
 
 
-def marker_emitters():
-    """Each factor stands in the body as its (name, time)."""
-    return SuzukiEmitters(num_qubits=1, emit_a=lambda t: [("a", t)],
-                          emit_b=lambda t: [("b", t)])
+def marker(name):
+    """An emitter whose factor stands in the body as its (name, time)."""
+    return lambda t: [(name, t)]
+
+
+def rotation(a, b):
+    """Emitter of the two-state rotation on states a, b of two qubits."""
+    return lambda t: two_state_rotation(a, b, t, 2).body
 
 
 class TestSuzuki:
     def test_rejects_odd_order(self):
-        em = recording_emitters([], [])
         with pytest.raises(InputError, match="even"):
-            suzuki(3, 1.0, em)
+            suzuki(3, 1.0, empty_emitter, empty_emitter)
 
     def test_order_two_sequence(self):
-        body = suzuki(2, 0.8, marker_emitters()).body
+        body = suzuki(2, 0.8, marker("a"), marker("b"))
         assert inline(body) == [("a", 0.4), ("b", 0.8), ("a", 0.4)]
         # both half steps are one list
         assert body[0] is body[2]
@@ -283,19 +279,14 @@ class TestSuzuki:
     def test_coefficients_sum_to_t(self, order):
         # equal-time sub-bodies are built once, so the body is read, not
         # the calls
-        body = inline(suzuki(order, 0.37, marker_emitters()).body)
+        body = inline(suzuki(order, 0.37, marker("a"), marker("b")))
         assert len(body) == 3 * 5 ** (order // 2 - 1)
         for name in "ab":
             times = [t for factor, t in body if factor == name]
             assert math.isclose(sum(times), 0.37, rel_tol=1e-12)
 
     def test_order_six_body_shares_its_sub_formulas(self):
-        em = SuzukiEmitters(
-            num_qubits=2,
-            emit_a=lambda t: two_state_rotation(0, 1, t, 2).body,
-            emit_b=lambda t: two_state_rotation(1, 2, t, 2).body,
-        )
-        prog = suzuki(6, 0.3, em)
+        prog = SeoProgram(2, suzuki(6, 0.3, rotation(0, 1), rotation(1, 2)))
         # [outer, outer, middle, outer, outer]
         assert len(prog.body) == 5
         assert len({id(item) for item in prog.body}) == 2
@@ -306,28 +297,25 @@ class TestSuzuki:
                                   for gate in expand(prog)]
 
     def test_trivial_emitters_identity(self):
-        em = recording_emitters([], [])
-        prog = suzuki(2, 1.0, em)
+        prog = SeoProgram(1, suzuki(2, 1.0, empty_emitter, empty_emitter))
         assert frobenius_distance(program_unitary(prog), np.eye(2)) == 0
 
     def test_order_four_scaling(self):
         # noncommuting pair on two qubits: H = (|0><1| + h.c.) + (|1><2| + h.c.)
-        def em():
-            return SuzukiEmitters(
-                num_qubits=2,
-                emit_a=lambda t: two_state_rotation(0, 1, t, 2).body,
-                emit_b=lambda t: two_state_rotation(1, 2, t, 2).body,
-            )
-
         h = np.zeros((4, 4))
         h[0, 1] = h[1, 0] = h[1, 2] = h[2, 1] = 1.0
         errs = []
         ts = [0.4, 0.2, 0.1]
         for t in ts:
-            u = program_unitary(suzuki(4, t, em()))
+            body = suzuki(4, t, rotation(0, 1), rotation(1, 2))
+            u = program_unitary(SeoProgram(2, body))
             errs.append(frobenius_distance(u, expi_hermitian(t * h)))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert abs(slope - 5.0) <= 0.3
+
+    def test_trotterize_rejects_nonpositive_trots(self):
+        with pytest.raises(InputError, match="trot count"):
+            trotterize(2, empty_emitter, empty_emitter, 1.0, 0)
 
 
 class TestLine:
@@ -388,8 +376,24 @@ class TestTree:
         assert unmerged == 768
         assert sum(len(_rotations(edges, 0.1, 7)) for edges in classes.values()) == 408
         # as the product formula uses them: A(t) + B(t) with a symmetric chain each
-        em = tree_emitters(7)
-        assert len(em.emit_a(0.1)) + len(em.emit_b(0.1)) == 609
+        emit_a, emit_b = tree_emitters(7)
+        sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
+        assert count_elementary_ops(sweep) == 609
+
+    def test_chain_half_steps_are_one_list(self):
+        # each depth class is the order-2 split of its left-child matching
+        # and its right-child matching: both half steps are one list
+        classes = {}
+        for parent, child in tree_edges(5):
+            key = ((parent.bit_length() - 1) % 2, child % 2)
+            classes.setdefault(key, []).append((parent, child))
+        pad = ((5, False),)
+        for parity, emit in enumerate(tree_emitters(5, pads=[5])):
+            body = emit(0.3)
+            assert len(body) == 3
+            assert body[0] is body[2]
+            assert body[0] == _rotations(classes[parity, 0], 0.15, 5, pad)
+            assert body[1] == _rotations(classes[parity, 1], 0.3, 5, pad)
 
     def test_zero_coupling_identity(self):
         layout = FruitLayout.from_counts(3, 3)
