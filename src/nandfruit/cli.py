@@ -102,6 +102,8 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"Message: {exc}")
         return 1
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
     if args.max_verify_qubits < 0:
         print(f"Message: --max-verify-qubits must be >= 0, "
               f"got {args.max_verify_qubits}")

@@ -179,16 +179,46 @@ def suzuki(order: int, t: float, emit_a: Callable[[float], list],
     sub-list, built once, and a repeat is the same list again, as in
     [half, b, half] and [outer, outer, middle, outer, outer].  So neither an
     emitted list nor the body may be mutated.
+
+    When emit_a is a matching chain (line_emitters, tree_emitters), whose
+    first matching, its edge, begins and ends it, the higher orders fuse
+    the two edge stamps meeting at each seam of the recursion into one,
+    exactly, since a matching's rotations commute: edge(a) edge(b) =
+    edge(a + b).  That body is [edge, inner, edge], where inner is the
+    recursion's [outer, both, outer, seam, middle, seam, outer, both, outer]
+    over sub-formulas with their end edge stamps peeled off, both = edge(2
+    h_o) and seam = edge(h_o + h_m) at the peeled edge times h_o and h_m.
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be even, got {order}")
+    if order == 2 or not isinstance(emit_a, _MatchingChain):
+        return _formula(order, t, emit_a, emit_b, None)[0]
+    inner, end, edge = _formula(order, t, emit_a, emit_b, emit_a)
+    if edge is None:
+        edge = _at_time(emit_a.edge, end)
+    return [edge, inner, edge]
+
+
+def _formula(order: int, t: float, emit_a, emit_b, chain) -> tuple:
+    """suzuki's recursion, as (body, None, None) with chain None.  With chain
+    emit_a: the body with its first and last edge stamps peeled off and the
+    two edge stamps at each seam fused, the time of the peeled stamps, and
+    the peeled stamp if the body holds one too (else None)."""
     if order == 2:
-        half = emit_a(t / 2)
-        return [half, emit_b(t), half]
+        if chain is None:
+            half = emit_a(t / 2)
+            return [half, emit_b(t), half], None, None
+        if chain.core is None:  # A(t/2) is edge(t/2) alone
+            return emit_b(t), t / 2, None
+        core, edge = chain.core(t / 2), _at_time(chain.edge, t / 4)
+        return [core, edge, emit_b(t), edge, core], t / 4, edge
     p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
-    outer = suzuki(order - 2, p * t, emit_a, emit_b)
-    middle = suzuki(order - 2, (1.0 - 4.0 * p) * t, emit_a, emit_b)
-    return [outer, outer, middle, outer, outer]
+    outer, h_o, edge = _formula(order - 2, p * t, emit_a, emit_b, chain)
+    middle, h_m, _ = _formula(order - 2, (1.0 - 4.0 * p) * t, emit_a, emit_b, chain)
+    if chain is None:
+        return [outer, outer, middle, outer, outer], None, None
+    both, seam = _at_time(chain.edge, 2 * h_o), _at_time(chain.edge, h_o + h_m)
+    return [outer, both, outer, seam, middle, seam, outer, both, outer], h_o, edge
 
 
 def trotterize(order: int, emit_a: Callable[[float], list],
@@ -277,21 +307,31 @@ def _pad_extra(num_qubits: int, pads: Iterable[int]) -> tuple:
     return tuple((q, False) for q in pads)
 
 
-def _chain(matchings: list, num_qubits: int, extra: tuple) -> Callable[[float], list]:
-    """Emitter of the time-symmetric chain over the nonempty matchings.
+class _MatchingChain:
+    """Emitter of the time-symmetric chain over one or more matchings.
 
-    One matching is its exact exponential; more are the order-2 split of
-    the first and the chain of the rest, M1(t/2) ... Mm(t) ... M1(t/2), so
-    each half step is one shared list.  Each matching's plan is built here,
-    once; emitting at a time only stamps the angles.
+    One matching emits its exact exponential edge(t); more emit the order-2
+    split of the first and the chain of the rest, edge(t/2) core(t)
+    edge(t/2), so each half step is one shared list.  edge is the first
+    matching's plan, built once per compile; emitting at a time only stamps
+    the angles.  suzuki reads edge and core to fuse the edge stamps that
+    meet at the seams of its higher orders.
     """
+
+    def __init__(self, plans: list):
+        self.edge = plans[0]
+        self.core = _MatchingChain(plans[1:]) if len(plans) > 1 else None
+
+    def __call__(self, t: float) -> list:
+        if self.core is None:
+            return _at_time(self.edge, t)
+        return suzuki(2, t, partial(_at_time, self.edge), self.core)
+
+
+def _chain(matchings: list, num_qubits: int, extra: tuple) -> Callable[[float], list]:
+    """Emitter of the chain over the nonempty matchings; none emit nothing."""
     plans = [_matching_plan(edges, num_qubits, extra) for edges in matchings if edges]
-    if not plans:
-        return lambda t: []
-    emit = partial(_at_time, plans[-1])
-    for plan in reversed(plans[:-1]):
-        emit = partial(suzuki, 2, emit_a=partial(_at_time, plan), emit_b=emit)
-    return emit
+    return _MatchingChain(plans) if plans else lambda t: []
 
 
 def line_emitters(nb_line: int, pads: Iterable[int] = ()) -> tuple:

@@ -171,9 +171,12 @@ class FruitSpec:
     def english_line_bound(self) -> int:
         """Upper bound on the lines of the English file, found without compiling.
 
-        An order-r formula over factors A and B writes 5^(r/2-1) (2 lines(A) +
-        lines(B)) lines, its LOOP 2 more.  Each tree rotation is counted with
-        full ladders, though the rotations of a matching share CNOTs.
+        An order-r formula over factors A and B writes at most 5^(r/2-1) (2
+        lines(A) + lines(B)) lines, its LOOP 2 more.  It is looser than
+        that: each tree rotation is counted with full ladders, though the
+        rotations of a matching share CNOTs, and the line and tree formulas
+        are counted unfused, though at orders >= 4 the two stamps of A's
+        first matching meeting at each seam are written as one.
         """
         layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
         n = layout.nb_total

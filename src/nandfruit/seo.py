@@ -278,9 +278,21 @@ def _picture_line(gate: Gate, num_qubits: int) -> str:
 
 
 def write_picture(program: SeoProgram, path) -> None:
-    """Write the ASCII diagram; leftmost column is the highest qubit index."""
-    _write_chunks(path, _program_chunks(
-        program, lambda g: _picture_line(g, program.num_qubits)))
+    """Write the ASCII diagram; leftmost column is the highest qubit index.
+
+    A line does not show the angle, so it is rendered once per gate shape
+    (kind, target and the controls, canonical in a Gate), not per Gate.
+    """
+    shapes: dict[tuple, str] = {}
+
+    def render(gate: Gate) -> str:
+        shape = (gate.kind, gate.target, gate.controls)
+        line = shapes.get(shape)
+        if line is None:
+            line = shapes[shape] = _picture_line(gate, program.num_qubits)
+        return line
+
+    _write_chunks(path, _program_chunks(program, render))
 
 
 def write_log(report: CompileReport, spec, path) -> None:
@@ -310,7 +322,7 @@ def _write_chunks(path, chunks) -> None:
     try:
         with open(path, "w") as f:
             f.writelines(chunks)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 

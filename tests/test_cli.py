@@ -95,6 +95,17 @@ class TestRun:
         assert "cannot write" in output_fields(capsys)["Message"]
         assert not any(tmp_path.iterdir())
 
+    def test_nul_in_prefix_ends_in_a_message(self, tmp_path, capsys):
+        # open() refuses such a path with a ValueError, not an OSError
+        assert run(base_args(f"{tmp_path}/a\0b")) == 1
+        assert "embedded null byte" in output_fields(capsys)["Message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_help_returns_zero(self, flag, capsys):
+        assert run([flag]) == 0
+        assert "--line-qubits" in capsys.readouterr().out
+
     @pytest.mark.parametrize("failing", ["rename", "log writer"])
     def test_failed_write_keeps_earlier_files(self, tmp_path, capsys, monkeypatch, failing):
         # the directory stops taking renames (what an unwritable directory

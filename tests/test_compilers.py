@@ -382,18 +382,33 @@ class TestTree:
 
     def test_chain_half_steps_are_one_list(self):
         # each depth class is the order-2 split of its left-child matching
-        # and its right-child matching: both half steps are one list
+        # and its right-child matching: both half steps are one list.  In a
+        # fused order-4 formula the half steps of each order-2 sub-formula
+        # lose their outer edge stamps to the seams; what is left of them,
+        # core then edge and edge then core, is one core list and one edge
+        # list again
         classes = {}
         for parent, child in tree_edges(5):
             key = ((parent.bit_length() - 1) % 2, child % 2)
             classes.setdefault(key, []).append((parent, child))
         pad = ((5, False),)
-        for parity, emit in enumerate(tree_emitters(5, pads=[5])):
+        emitters = tree_emitters(5, pads=[5])
+        for parity, emit in enumerate(emitters):
             body = emit(0.3)
             assert len(body) == 3
             assert body[0] is body[2]
             assert body[0] == _rotations(classes[parity, 0], 0.15, 5, pad)
             assert body[1] == _rotations(classes[parity, 1], 0.3, 5, pad)
+        edge, inner, edge_again = suzuki(4, 0.3, *emitters)
+        assert edge is edge_again
+        outer = inner[0]
+        assert [item is sub for item, sub in zip(outer, outer[::-1])] == [
+            True, True, True, True, True]
+        core, half_edge, _, _, _ = outer
+        p = 1 / (4 - 4 ** (1 / 3))
+        assert half_edge is edge
+        assert edge == _rotations(classes[0, 0], p * 0.3 / 4, 5, pad)
+        assert core == _rotations(classes[0, 1], p * 0.3 / 2, 5, pad)
 
     def test_zero_coupling_identity(self):
         layout = FruitLayout.from_counts(3, 3)
@@ -526,10 +541,12 @@ def file_hashes(spec, tmp_path, relabel=True):
 # pinned while loop ids were still drawn as the loops were built (at meta
 # order 2 that is the NEXT order the writers number by); re-pinned when the
 # rotations of a matching began to share their CNOT ladders, which removed
-# 32 of 5592 ops and left the dense error bit-identical
+# 32 of 5592 ops and left the dense error bit-identical; re-pinned when the
+# order-4 tree formula began to fuse the edge stamps at its seams (ops 5560
+# -> 5176, dense error 2.513340538285027e-04 -> 2.513340538285294e-04)
 README_FILES = (
-    "f1e739b239210434a26ad115248d267fbf62bc6c09bead1c6ce4ebc7d6f31043",
-    "c237662f89fb89fe81d68471be03b4f3c17fb52abc2a44431dfc77b78eab938b",
+    "8355cca676e03d09a892aae9a0fd97531f392af8ad92e739d75def89108bd3c5",
+    "d1ad672f1babd38d91f13ab38cc6c1041ed269909996c2b27b0ecf9dff962f6c",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -538,22 +555,25 @@ README_FILES = (
 # First pinned from the compiler before it shared repeated bodies; re-pinned
 # when the rotations of a matching began to share their CNOT ladders (ops
 # 27960 -> 27800, 29640 -> 29560 and 175000 -> 174200, dense errors
-# bit-identical)
+# bit-identical), and again when the higher-order formulas began to fuse the
+# edge stamps at their seams (ops 27800 -> 25880, 29560 -> 27640 and 174200
+# -> 151800; dense errors moved by at most 3e-17, the zero-coupling one
+# stays 0.0)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "d030933ebcf0190d39f15e56346dd5a2c41489c283038ab1acb959f8d1d2d39a",
-        "4bdff40c41526aa2ceaf77908d0fb0c5c20707811e4d6f3b55046d12662dacaf",
+        "2b853d752a027f149e8cd6a10a787af98a45a334a028051254f92fb2b84b6fa4",
+        "b511aa7a65bf4871da62eec4197277f5425bf9664d4236a7fd32d641b72519d4",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "ef34a3217cf8acb57468501dcaf3bb43cbbef4781a52d7f6a2fec791c3c7e8d4",
-        "ef887ed6bfe76664ac4c3a52cf7f531b47648db06f5c279928d6a909c3524ba2",
+        "5ef34685832492fa1f55e0f17598fa71ae6aa385f77a89624a9485559ba129ee",
+        "40882f11d52a8f74774a22eff981bf339c97ea9068c9ffdc2560fd6e52f6526a",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "40f9309a379d5931480a5147a9942de28f3e76dd99003773ef131011a8799744",
-        "fe96e5966a160fc7ee9f41b161054c80804d019aaee6cfc48defa167d1dd411a",
+        "1bdbe5dd022252dd75c97fac85babb01312b16968b2f296589caf40907748a01",
+        "070fb26fe45d49e5b2c458916a739960c9f1dbd0a554213ba92eb98173a63f3f",
     ),
 }
 

@@ -1,9 +1,14 @@
 """Property tests over small specs: English round trips, op counts and the
 unitary of the written file; the merged-ladder rotations of one matching
-against their dense exponential; and the exact components (two-state
-rotation, shift, glue, oracle, padding) against their closed forms,
-global phase included."""
+against their dense exponential; the exact components (two-state rotation,
+shift, glue, oracle, padding) against their closed forms, global phase
+included; product formulas with the edge stamps fused at their seams
+against the unfused ones; and the command line, which ends every argv in a
+return code."""
 
+import contextlib
+import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -28,10 +33,12 @@ from nandfruit import (
     pad_controls,
     parse_english,
     program_unitary,
+    trotterize,
     two_state_rotation,
     write_english,
 )
-from nandfruit.compilers import _rotations
+from nandfruit.cli import run
+from nandfruit.compilers import _at_time, _rotations, line_emitters, tree_emitters
 
 
 @st.composite
@@ -220,3 +227,97 @@ def test_padding_is_phase_exact(case):
     padded = pad_controls(fragment, pads)
     assert padded.num_qubits == m
     assert frobenius_distance(program_unitary(padded), expected) <= 1e-12
+
+
+@st.composite
+def formulas(draw):
+    """(register, emitters of a line or tree block, order, time, trots), the
+    emitters with F controls on the pad qubits above the block, if any."""
+    nb = draw(st.integers(1, 5))
+    pads = sorted(draw(st.sets(st.integers(nb, nb + 1), max_size=2)))
+    emitters = draw(st.sampled_from([line_emitters, tree_emitters]))(nb, pads)
+    return (max([nb] + [q + 1 for q in pads]), emitters,
+            draw(st.sampled_from([2, 4, 6])), draw(st.floats(-2.0, 2.0)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=formulas())
+def test_fused_seams_are_exact(case):
+    # plain callables of the same matchings take the unfused path; each of
+    # the 5^(r/2-1) - 1 seams of a step fuses two edge stamps into one
+    n, (emit_a, emit_b), order, g, n_trots = case
+    fused = SeoProgram(n, trotterize(order, emit_a, emit_b, g, n_trots))
+    unfused = SeoProgram(n, trotterize(order, lambda t: emit_a(t),
+                                       lambda t: emit_b(t), g, n_trots))
+    assert frobenius_distance(program_unitary(fused),
+                              program_unitary(unfused)) <= 1e-12
+    edge = len(_at_time(emit_a.edge, g)) if hasattr(emit_a, "edge") else 0
+    seams = 5 ** (order // 2 - 1) - 1
+    assert (count_elementary_ops(fused)
+            == count_elementary_ops(unfused) - n_trots * seams * edge)
+
+
+# the flags of the command line and the valid values each is drawn from;
+# registers of at most 5 + 5 qubits compile to at most 7
+_TROTS = st.integers(1, 3).map(str)
+_ORDERS = st.sampled_from(["2", "4", "6"])
+_FLAG_VALUES = {
+    "--line-qubits": st.integers(1, 5).map(str),
+    "--tree-qubits": st.integers(2, 5).map(str),
+    "--coupling": st.floats(-3.0, 3.0).map(repr),
+    "--door": st.integers(0, 3).map(str),
+    "--bands": st.sampled_from(["", "0,1", "0,1;3,3", "1,1"]),
+    "--line-trots": _TROTS,
+    "--line-order": _ORDERS,
+    "--tree-trots": _TROTS,
+    "--meta-trots": _TROTS,
+    "--meta-order": _ORDERS,
+    "--max-verify-qubits": st.sampled_from(["10", "13", "4", "0"]),
+}
+# a stray token: no junk one abbreviates a flag other than --help, or holds
+# a '='
+_JUNK = (st.sampled_from(["-h", "--he", "--no-verify"])
+         | st.text(alphabet="-hex0123456789.,; ", max_size=6))
+_BAD = st.sampled_from(["-1", "0", "3", "40", "14", "nan", "-inf", "1e308",
+                        "4503599627370496.0", "2,1", "0,1;1,2", "0,40"]) | _JUNK
+
+
+@st.composite
+def command_lines(draw, directory):
+    """argv of every flag, in any order and as '--flag value' or
+    '--flag=value', a few of them missing or with a bad value, maybe a junk
+    token; every output file lands in directory."""
+    # a file name, a missing directory, the directory itself or a NUL byte
+    names = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="/"), max_size=6)
+    flags = {flag: draw(values) for flag, values in _FLAG_VALUES.items()}
+    flags["--prefix"] = os.path.join(
+        directory, draw(st.sampled_from(["run", "no/such/dir/run", "", "nul\0"]) | names))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2)):
+        if draw(st.booleans()):
+            flags.pop(flag, None)
+        else:
+            flags[flag] = draw(_BAD)
+    argv = []
+    for flag in draw(st.permutations(sorted(flags))):
+        argv += ([f"{flag}={flags[flag]}"] if draw(st.booleans())
+                 else [flag, flags[flag]])
+    if draw(st.booleans()):
+        argv.append("--no-verify")
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_never_raises(data):
+    with tempfile.TemporaryDirectory() as d:
+        argv = data.draw(command_lines(d))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert isinstance(code, int)
+    if code:
+        assert "Message: " in out.getvalue(), argv
