@@ -20,9 +20,9 @@ from .hamiltonian import (
     InputError,
     NandInputs,
     glue_edges,
-    line_edges,
+    line_factors,
     oracle_edges,
-    tree_edges,
+    tree_factors,
 )
 from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
 
@@ -52,9 +52,9 @@ def _rotation_parts(a: int, b: int, num_qubits: int):
     return pivot, mask, controls
 
 
-def _ladder(pivot: int, targets: Iterable[int], extra: tuple = ()) -> list:
+def _ladder(pivot: int, targets: Iterable[int], pads: tuple) -> list:
     """CNOTs from the pivot onto each target, in the order given."""
-    return [Gate("SIGX", target=j, controls=((pivot, True),) + extra)
+    return [Gate("SIGX", target=j, controls=((pivot, True),) + pads)
             for j in targets]
 
 
@@ -69,18 +69,17 @@ def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProg
     Identity outside span{|a>, |b>}; on the span it acts as
     [[cos t, i sin t], [i sin t, cos t]].  A CNOT ladder maps a, b to states
     differing in one bit, a single multiply-controlled ROTX(-2*theta) does
-    the rotation there, and the ladder is undone.  It is the one-edge
-    matching of _rotations, the only rotation builder.  compile_fruit does
-    not call it: it builds each matching's plan once per compile, and its
-    repeated factors share gates through the product-formula recursion.
+    the rotation there, and the ladder is undone: the plan of the one-edge
+    matching.
     """
-    return SeoProgram(num_qubits, _rotations([(a, b)], theta, num_qubits))
+    plan = _matching_plan([(a, b)], num_qubits)
+    return SeoProgram(num_qubits, _at_time(plan, theta))
 
 
 def compile_glue(layout: FruitLayout, door: int, g: float) -> SeoProgram:
     """Exact circuit for the door-to-root coupling exponential."""
-    return SeoProgram(layout.nb_total,
-                      _rotations(glue_edges(layout, door), g, layout.nb_total))
+    plan = _matching_plan(glue_edges(layout, door), layout.nb_total)
+    return SeoProgram(layout.nb_total, _at_time(plan, g))
 
 
 def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
@@ -89,8 +88,8 @@ def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
     One two-state rotation per set input bit, leaf k to its marker state;
     the pairs are disjoint so the product is exact in any order.
     """
-    return SeoProgram(layout.nb_total,
-                      _rotations(oracle_edges(layout, x), g, layout.nb_total))
+    plan = _matching_plan(oracle_edges(layout, x), layout.nb_total)
+    return SeoProgram(layout.nb_total, _at_time(plan, g))
 
 
 def compile_shift(k: int, num_qubits: int) -> SeoProgram:
@@ -240,10 +239,15 @@ def _gray_rank(code: int) -> int:
     return rank
 
 
-def _rotations(
-    edges: list[tuple[int, int]], theta: float, num_qubits: int, extra: tuple = ()
-) -> list:
-    """Exact exponential of a disjoint (matching) edge set.
+def _matching_plan(
+    edges: list[tuple[int, int]], num_qubits: int, block_qubits: int | None = None
+) -> tuple[list, list]:
+    """Exact exponential of a disjoint (matching) edge set, as a plan that
+    _at_time stamps with the angles of one time: per rotation, the CNOTs
+    before it, its pivot and its controls; then the CNOTs that undo the
+    last ladder.  The edges are of a block on the low block_qubits of the
+    num_qubits register (all of it if None), and the plan acts on the block
+    where every qubit above it is 0, as pad_controls would embed it.
 
     Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
     pairs are disjoint, so the rotations commute and any order is exact.
@@ -251,25 +255,17 @@ def _rotations(
     between two rotations on one pivot only the symmetric difference of
     their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^ L2) R2 L2,
     exact because CNOTs from one control commute and are self-inverse.
-    Gray order makes neighbouring ladders differ in few CNOTs.  The last
-    ladder is undone at the end.  extra is appended to every gate's
-    controls (the F controls of pad qubits above num_qubits).
-
-    This is the one rotation builder, for one time; compile_fruit instead
-    builds each matching's plan once per compile and stamps every time's
-    angles onto it with _at_time.  Repeats share their gates because the
-    product-formula recursion builds each sub-formula once.
+    Gray order makes neighbouring ladders differ in few CNOTs.  The ROTX
+    controls span the whole register; each CNOT gets an F control on every
+    qubit above the block.  compile_fruit builds one plan per matching per
+    compile, so its CNOT gates are shared by every time.
     """
-    return _at_time(_matching_plan(edges, num_qubits, extra), theta)
-
-
-def _matching_plan(
-    edges: list[tuple[int, int]], num_qubits: int, extra: tuple = ()
-) -> tuple[list, list]:
-    """The part of _rotations that does not depend on theta: per rotation,
-    the CNOTs before it, its pivot and its controls; then the CNOTs that
-    undo the last ladder.  compile_fruit builds it once per matching per
-    compile, so its CNOT gates are shared by every time."""
+    if block_qubits is None:
+        block_qubits = num_qubits
+    if block_qubits > num_qubits:
+        raise ValueError(f"a {block_qubits}-qubit block does not fit a "
+                         f"{num_qubits}-qubit register")
+    pads = tuple((q, False) for q in range(block_qubits, num_qubits))
     rots = sorted(
         ((_rotation_parts(min(a, b), max(a, b), num_qubits), min(a, b))
          for a, b in edges),
@@ -281,11 +277,11 @@ def _matching_plan(
         undo, do = mask, new_mask
         if new_pivot == pivot:
             undo, do = mask & ~new_mask, new_mask & ~mask
-        cnots = (_ladder(pivot, _bits(undo)[::-1], extra)
-                 + _ladder(new_pivot, _bits(do), extra))
-        steps.append((cnots, new_pivot, controls + extra))
+        cnots = (_ladder(pivot, _bits(undo)[::-1], pads)
+                 + _ladder(new_pivot, _bits(do), pads))
+        steps.append((cnots, new_pivot, controls))
         pivot, mask = new_pivot, new_mask
-    return steps, _ladder(pivot, _bits(mask)[::-1], extra)
+    return steps, _ladder(pivot, _bits(mask)[::-1], pads)
 
 
 def _at_time(plan: tuple[list, list], theta: float) -> list:
@@ -296,15 +292,6 @@ def _at_time(plan: tuple[list, list], theta: float) -> list:
         body += cnots
         body.append(Gate("ROTX", target=pivot, angle=-2.0 * theta, controls=controls))
     return body + tail
-
-
-def _pad_extra(num_qubits: int, pads: Iterable[int]) -> tuple:
-    """The F controls on pad qubits above a block, as pad_controls would add."""
-    pads = sorted(set(pads))
-    if pads and pads[0] < num_qubits:
-        raise ValueError(f"pad qubits {[q for q in pads if q < num_qubits]} "
-                         "already in use")
-    return tuple((q, False) for q in pads)
 
 
 class _MatchingChain:
@@ -328,71 +315,57 @@ class _MatchingChain:
         return suzuki(2, t, partial(_at_time, self.edge), self.core)
 
 
-def _chain(matchings: list, num_qubits: int, extra: tuple) -> Callable[[float], list]:
+def _chain(matchings: list, num_qubits: int, block_qubits: int) -> Callable:
     """Emitter of the chain over the nonempty matchings; none emit nothing."""
-    plans = [_matching_plan(edges, num_qubits, extra) for edges in matchings if edges]
+    plans = [_matching_plan(edges, num_qubits, block_qubits)
+             for edges in matchings if edges]
     return _MatchingChain(plans) if plans else lambda t: []
 
 
-def line_emitters(nb_line: int, pads: Iterable[int] = ()) -> tuple:
-    """(emit_a, emit_b): the even/odd split of the Gray-order line edges.
-
-    Alternating edges never share a node, so each factor is one matching,
-    an exact product of one-bit two-state rotations (single
-    multiply-controlled ROTX each).  Every gate has an F control on each
-    pad qubit above the block.
-    """
-    extra = _pad_extra(nb_line, pads)
-    edges = line_edges(nb_line)
-    return _chain([edges[0::2]], nb_line, extra), _chain([edges[1::2]], nb_line, extra)
+def line_emitters(nb_line: int, num_qubits: int | None = None) -> tuple:
+    """(emit_a, emit_b): the chains over the two factors of line_factors,
+    for the block on the low nb_line qubits of a num_qubits register
+    (nb_line if None).  Each factor is one matching of one-bit rotations, a
+    single multiply-controlled ROTX each."""
+    return tuple(_chain(factor, num_qubits or nb_line, nb_line)
+                 for factor in line_factors(nb_line))
 
 
 def compile_line(
     layout: FruitLayout, g_eff: float, r_line: int, nt_line: int,
-    pads: Iterable[int] = (),
+    num_qubits: int | None = None,
 ) -> SeoProgram:
     """Product-formula approximant of the line-block exponential.
 
-    Acts on the nb_line low qubits, each gate with an F control on every
-    pad qubit, as pad_controls would add; embedding at a global offset is
+    Acts on the nb_line low qubits of a num_qubits register (nb_line if
+    None), as pad_controls would embed it; embedding at a global offset is
     done by the caller via conjugate_by_shift.
     """
-    pads = set(pads)
-    body = trotterize(r_line, *line_emitters(layout.nb_line, pads), g_eff, nt_line)
-    return SeoProgram(max(pads, default=layout.nb_line - 1) + 1, body)
+    emitters = line_emitters(layout.nb_line, num_qubits)
+    return SeoProgram(num_qubits or layout.nb_line,
+                      trotterize(r_line, *emitters, g_eff, nt_line))
 
 
-def tree_emitters(nb_tree: int, pads: Iterable[int] = ()) -> tuple:
-    """(emit_a, emit_b): tree edges split by parent depth parity.
-
-    Edges sharing a parent land in the same depth class, so each class is
-    further split into left-child and right-child matchings and emitted as
-    their chain, which stays time-symmetric, all the higher-order recursion
-    needs.  Every gate has an F control on each pad qubit above the block.
-    """
-    extra = _pad_extra(nb_tree, pads)
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for parent, child in tree_edges(nb_tree):
-        depth = parent.bit_length() - 1
-        key = (depth % 2, child % 2)
-        classes.setdefault(key, []).append((parent, child))
-    return tuple(
-        _chain([classes.get((parity, side), []) for side in (0, 1)], nb_tree, extra)
-        for parity in (0, 1)
-    )
+def tree_emitters(nb_tree: int, num_qubits: int | None = None) -> tuple:
+    """(emit_a, emit_b): the chains over the two factors of tree_factors,
+    for the block on the low nb_tree qubits of a num_qubits register
+    (nb_tree if None).  A chain stays time-symmetric, all the higher-order
+    recursion needs."""
+    return tuple(_chain(factor, num_qubits or nb_tree, nb_tree)
+                 for factor in tree_factors(nb_tree))
 
 
 def compile_tree(
-    layout: FruitLayout, g_eff: float, nt_tree: int, pads: Iterable[int] = ()
+    layout: FruitLayout, g_eff: float, nt_tree: int, num_qubits: int | None = None
 ) -> SeoProgram:
     """Order-4 product-formula approximant of the tree-block exponential.
 
-    Acts on the nb_tree low qubits in heap indexing (dud at state 0), each
-    gate with an F control on every pad qubit, as pad_controls would add.
+    Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
+    num_qubits register (nb_tree if None), as pad_controls would embed it.
     """
-    pads = set(pads)
-    body = trotterize(TREE_ORDER, *tree_emitters(layout.nb_tree, pads), g_eff, nt_tree)
-    return SeoProgram(max(pads, default=layout.nb_tree - 1) + 1, body)
+    emitters = tree_emitters(layout.nb_tree, num_qubits)
+    return SeoProgram(num_qubits or layout.nb_tree,
+                      trotterize(TREE_ORDER, *emitters, g_eff, nt_tree))
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -407,7 +380,7 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     symmetric split.
 
     Each piece is built once per call: the line and tree emitters (so each
-    matching's plan, pad controls included, is built once per compile), the
+    matching's plan, embedding included, is built once per compile), the
     shift bodies into and out of the tree offset, and the glue and oracle
     plans; a factor at a time only stamps angles onto them.  Repeated
     factors and half steps are shared by the product-formula recursion,
@@ -420,8 +393,8 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     """
     layout, x = spec.resolve()
     nb_total = layout.nb_total
-    line = line_emitters(layout.nb_line, range(layout.nb_line, nb_total))
-    tree = tree_emitters(layout.nb_tree, range(layout.nb_tree, nb_total))
+    line = line_emitters(layout.nb_line, nb_total)
+    tree = tree_emitters(layout.nb_tree, nb_total)
     shift_in, shift_out = _shift_bodies(layout.tree_offset, nb_total)
     glue = _matching_plan(glue_edges(layout, spec.door), nb_total)
     oracle = _matching_plan(oracle_edges(layout, x), nb_total)

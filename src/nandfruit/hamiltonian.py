@@ -187,13 +187,17 @@ class FruitSpec:
         def rotation(a, b):  # gates of the two-state rotation
             return 2 * bin(a ^ b).count("1") - 1
 
-        # one gate per Gray edge; A holds the even-indexed half
-        line = formula(self.r_line, 3 * 2 ** (self.nb_line - 1) - 1, self.nt_line)
-        # A holds edges below even-depth parents; left children count twice
-        tree_a2b = sum((1 + p.bit_length() % 2) * (2 - c % 2) * rotation(p, c)
-                       for p, c in tree_edges(self.nb_tree))
+        def lines(factor):  # a chain writes every matching but its last twice
+            gates = [sum(rotation(a, b) for a, b in matching) for matching in factor]
+            return 2 * sum(gates) - gates[-1]
+
+        def a2b(a, b):
+            return 2 * lines(a) + lines(b)
+
+        line = formula(self.r_line, a2b(*line_factors(self.nb_line)), self.nt_line)
         # plus two shift circuits of at most n (n + 1) / 2 gates each
-        tree = formula(TREE_ORDER, tree_a2b, self.nt_tree) + n * (n + 1)
+        tree = (formula(TREE_ORDER, a2b(*tree_factors(self.nb_tree)), self.nt_tree)
+                + n * (n + 1))
         corr = 2 * n - 1 + sum(rotation(layout.leaf_index(j), layout.extra_index(j))
                                for j in range(layout.ns_lvs))
         return 1 + formula(self.r_meta, 2 * (line + tree) + corr, self.nt_meta)
@@ -296,6 +300,27 @@ def line_edges(nb_line: int) -> list[tuple[int, int]]:
 def tree_edges(nb_tree: int) -> list[tuple[int, int]]:
     """Parent-child pairs (j, 2j) and (j, 2j+1) in heap order."""
     return [(j, 2 * j + s) for j in range(1, 2 ** (nb_tree - 1)) for s in (0, 1)]
+
+
+def line_factors(nb_line: int) -> tuple[list, list]:
+    """The two product-formula factors of the line, each as its list of
+    matchings: the even-indexed edges and the odd-indexed ones, one
+    matching each, as alternating edges never share a state."""
+    edges = line_edges(nb_line)
+    return [edges[0::2]], [edges[1::2]]
+
+
+def tree_factors(nb_tree: int) -> tuple[list, list]:
+    """The two product-formula factors of the tree, each as its list of
+    matchings: the edges below even-depth parents and those below odd-depth
+    ones, each split into its left-child and its right-child matching."""
+    edges = tree_edges(nb_tree)
+    return tuple(
+        [[(p, c) for p, c in edges
+          if (p.bit_length() - 1) % 2 == parity and c % 2 == side]
+         for side in (0, 1)]
+        for parity in (0, 1)
+    )
 
 
 def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:

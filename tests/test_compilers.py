@@ -38,8 +38,8 @@ from nandfruit import (
     write_picture,
 )
 from nandfruit import compilers
-from nandfruit.compilers import _rotations, tree_emitters
-from nandfruit.hamiltonian import SparseSymmetric, tree_edges
+from nandfruit.compilers import _at_time, _matching_plan, tree_emitters
+from nandfruit.hamiltonian import SparseSymmetric, tree_edges, tree_factors
 from nandfruit.seo import Gate
 
 
@@ -163,11 +163,11 @@ class TestPadControls:
 
     @pytest.mark.parametrize("r_meta", [2, 4])
     def test_blocks_built_padded_equal_padded_blocks(self, r_meta):
-        # compile_fruit builds the line and tree gates with their pads
+        # compile_fruit builds the line and tree gates in the whole register
         layout = FruitLayout.from_counts(3, 4)
         line_pads, tree_pads = range(3, layout.nb_total), range(4, layout.nb_total)
-        line = compile_line(layout, 0.3, r_meta, 2, line_pads)
-        tree = compile_tree(layout, 0.3, 2, tree_pads)
+        line = compile_line(layout, 0.3, r_meta, 2, layout.nb_total)
+        tree = compile_tree(layout, 0.3, 2, layout.nb_total)
         assert line.num_qubits == tree.num_qubits == layout.nb_total
         assert expand(line) == expand(
             pad_controls(compile_line(layout, 0.3, r_meta, 2), line_pads))
@@ -176,8 +176,8 @@ class TestPadControls:
 
     def test_pads_inside_the_block_rejected(self):
         layout = FruitLayout.from_counts(3, 3)
-        with pytest.raises(ValueError, match="pad"):
-            compile_line(layout, 0.3, 2, 1, [2, 3])
+        with pytest.raises(ValueError, match="3-qubit block does not fit a 2-qubit"):
+            compile_line(layout, 0.3, 2, 1, 2)
 
 
 class TestConjugateByShift:
@@ -362,19 +362,13 @@ class TestTree:
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
     def test_sweep_gate_count_at_7_qubits(self):
-        # the four matchings of tree_emitters, by parent depth parity and
-        # child side, each emitted once: merged ladders keep 408 of 768 gates
-        classes = {}
-        for parent, child in tree_edges(7):
-            key = ((parent.bit_length() - 1) % 2, child % 2)
-            classes.setdefault(key, []).append((parent, child))
-        for edges in classes.values():
-            states = [s for edge in edges for s in edge]
-            assert len(set(states)) == len(states)
+        # the four matchings of tree_factors, each emitted once: merged
+        # ladders keep 408 of 768 gates
         unmerged = sum(len(two_state_rotation(p, c, 0.1, 7).body)
                        for p, c in tree_edges(7))
         assert unmerged == 768
-        assert sum(len(_rotations(edges, 0.1, 7)) for edges in classes.values()) == 408
+        assert sum(len(_at_time(_matching_plan(edges, 7), 0.1))
+                   for factor in tree_factors(7) for edges in factor) == 408
         # as the product formula uses them: A(t) + B(t) with a symmetric chain each
         emit_a, emit_b = tree_emitters(7)
         sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
@@ -387,18 +381,17 @@ class TestTree:
         # lose their outer edge stamps to the seams; what is left of them,
         # core then edge and edge then core, is one core list and one edge
         # list again
-        classes = {}
-        for parent, child in tree_edges(5):
-            key = ((parent.bit_length() - 1) % 2, child % 2)
-            classes.setdefault(key, []).append((parent, child))
-        pad = ((5, False),)
-        emitters = tree_emitters(5, pads=[5])
-        for parity, emit in enumerate(emitters):
+        def rotations(edges, t):  # in a 6-qubit register
+            return _at_time(_matching_plan(edges, 6, 5), t)
+
+        factors = tree_factors(5)
+        emitters = tree_emitters(5, 6)
+        for (left, right), emit in zip(factors, emitters):
             body = emit(0.3)
             assert len(body) == 3
             assert body[0] is body[2]
-            assert body[0] == _rotations(classes[parity, 0], 0.15, 5, pad)
-            assert body[1] == _rotations(classes[parity, 1], 0.3, 5, pad)
+            assert body[0] == rotations(left, 0.15)
+            assert body[1] == rotations(right, 0.3)
         edge, inner, edge_again = suzuki(4, 0.3, *emitters)
         assert edge is edge_again
         outer = inner[0]
@@ -407,8 +400,8 @@ class TestTree:
         core, half_edge, _, _, _ = outer
         p = 1 / (4 - 4 ** (1 / 3))
         assert half_edge is edge
-        assert edge == _rotations(classes[0, 0], p * 0.3 / 4, 5, pad)
-        assert core == _rotations(classes[0, 1], p * 0.3 / 2, 5, pad)
+        assert edge == rotations(factors[0][0], p * 0.3 / 4)
+        assert core == rotations(factors[0][1], p * 0.3 / 2)
 
     def test_zero_coupling_identity(self):
         layout = FruitLayout.from_counts(3, 3)

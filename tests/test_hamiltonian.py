@@ -20,6 +20,8 @@ from nandfruit.hamiltonian import (
     MAX_ENGLISH_LINES,
     SparseSymmetric,
     line_edges,
+    tree_edges,
+    tree_factors,
 )
 
 
@@ -98,6 +100,14 @@ class TestTreeHamiltonian:
         assert 0 not in g
         assert nx.is_tree(g)
         assert set(g) == set(range(1, 2 ** nb))
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_factors_split_the_edges_into_matchings(self, nb):
+        matchings = [m for factor in tree_factors(nb) for m in factor]
+        assert sorted(edge for m in matchings for edge in m) == sorted(tree_edges(nb))
+        for m in matchings:
+            states = [s for edge in m for s in edge]
+            assert len(set(states)) == len(states)
 
 
 class TestParseBands:
@@ -251,6 +261,17 @@ class TestSpecValidation:
             make_spec(**{f"r_{name}": order}).validate()
         assert f"{name} order {order} " in str(err.value)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("spec,bound", [
+        (make_spec(door=2, bands_text="0,1;3,3", nt_line=4, nt_tree=4, nt_meta=4),
+         442),
+        (make_spec(nb_line=6, nb_tree=5, door=2, bands_text="0,1;3,3;6,12",
+                   nt_line=4, nt_tree=4, nt_meta=4), 2854),
+        (make_spec(nb_line=7, nb_tree=7, door=5, bands_text="0,20;40,60",
+                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 86978),
+    ], ids=["readme", "verify-7q", "compile-9q"])
+    def test_line_bound_pinned(self, spec, bound):
+        assert spec.english_line_bound() == bound
 
     def test_line_limit_is_the_largest_register_at_smallest_orders(self):
         # so every register admitted before orders were bounded still is

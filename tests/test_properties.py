@@ -38,7 +38,7 @@ from nandfruit import (
     write_english,
 )
 from nandfruit.cli import run
-from nandfruit.compilers import _at_time, _rotations, line_emitters, tree_emitters
+from nandfruit.compilers import _at_time, _matching_plan, line_emitters, tree_emitters
 
 
 @st.composite
@@ -97,30 +97,25 @@ def test_written_file_has_the_compiled_unitary(spec):
 
 @st.composite
 def matchings(draw):
-    """(register, disjoint state pairs, theta, pad qubits above the register)."""
+    """(block, disjoint state pairs, theta, register the block sits in)."""
     n = draw(st.integers(2, 6))
     states = draw(st.permutations(range(2 ** n)))
     k = draw(st.integers(0, 2 ** (n - 1)))
     edges = [(states[2 * i], states[2 * i + 1]) for i in range(k)]
     theta = draw(st.floats(-3.0, 3.0))
-    pads = sorted(draw(st.sets(st.integers(n, n + 1))))
-    return n, edges, theta, pads
+    return n, edges, theta, draw(st.integers(n, n + 2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=matchings())
 def test_merged_ladders_are_the_exact_exponential(case):
-    n, edges, theta, pads = case
-    extra = tuple((q, False) for q in pads)
-    body = _rotations(edges, theta, n, extra)
-    m = max([n] + [q + 1 for q in pads])
-    # exp(i theta sum(|a><b| + |b><a|)) on every copy of the register whose
-    # pad qubits are all 0; qubits above n that are not pads are free
+    n, edges, theta, m = case
+    body = _at_time(_matching_plan(edges, m, n), theta)
+    # exp(i theta sum(|a><b| + |b><a|)) on the block where every qubit above
+    # it is 0, the identity elsewhere
     h = np.zeros((2 ** m, 2 ** m))
-    for high in range(0, 2 ** m, 2 ** n):
-        if not any(high >> q & 1 for q in pads):
-            for a, b in edges:
-                h[high | a, high | b] = h[high | b, high | a] = theta
+    for a, b in edges:
+        h[a, b] = h[b, a] = theta
     assert frobenius_distance(program_unitary(SeoProgram(m, body)),
                               expi_hermitian(h)) <= 1e-12
     unmerged = sum(len(two_state_rotation(a, b, theta, n).body) for a, b in edges)
@@ -231,12 +226,12 @@ def test_padding_is_phase_exact(case):
 
 @st.composite
 def formulas(draw):
-    """(register, emitters of a line or tree block, order, time, trots), the
-    emitters with F controls on the pad qubits above the block, if any."""
+    """(register, emitters of a line or tree block in it, order, time,
+    trots)."""
     nb = draw(st.integers(1, 5))
-    pads = sorted(draw(st.sets(st.integers(nb, nb + 1), max_size=2)))
-    emitters = draw(st.sampled_from([line_emitters, tree_emitters]))(nb, pads)
-    return (max([nb] + [q + 1 for q in pads]), emitters,
+    m = draw(st.integers(nb, nb + 2))
+    emitters = draw(st.sampled_from([line_emitters, tree_emitters]))(nb, m)
+    return (m, emitters,
             draw(st.sampled_from([2, 4, 6])), draw(st.floats(-2.0, 2.0)),
             draw(st.integers(1, 3)))
 
@@ -298,7 +293,9 @@ def command_lines(draw, directory):
         if draw(st.booleans()):
             flags.pop(flag, None)
         else:
-            flags[flag] = draw(_BAD)
+            bad = draw(_BAD)
+            # a bad prefix still lands in directory
+            flags[flag] = os.path.join(directory, bad) if flag == "--prefix" else bad
     argv = []
     for flag in draw(st.permutations(sorted(flags))):
         argv += ([f"{flag}={flags[flag]}"] if draw(st.booleans())
