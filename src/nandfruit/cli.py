@@ -99,58 +99,46 @@ def write_outputs(program, report, spec: FruitSpec) -> None:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except InputError as exc:
+        if args.max_verify_qubits < 0:
+            raise InputError(f"--max-verify-qubits must be >= 0, "
+                             f"got {args.max_verify_qubits}")
+        if args.max_verify_qubits > MAX_VERIFY_QUBITS:
+            gib = 16 * 4 ** args.max_verify_qubits / 2 ** 30
+            raise InputError(
+                f"--max-verify-qubits {args.max_verify_qubits} exceeds "
+                f"{MAX_VERIFY_QUBITS}: one dense {args.max_verify_qubits}-qubit "
+                f"unitary needs {gib:g} GiB"
+            )
+        spec = FruitSpec(
+            file_prefix=args.prefix,
+            nb_line=args.line_qubits,
+            nb_tree=args.tree_qubits,
+            g=args.coupling,
+            door=args.door,
+            bands_text=args.bands,
+            nt_line=args.line_trots,
+            r_line=args.line_order,
+            nt_tree=args.tree_trots,
+            nt_meta=args.meta_trots,
+            r_meta=args.meta_order,
+        )
+        program, report = compile_fruit(spec)
+        if args.no_verify:
+            report.message = "verification skipped on request"
+        elif report.num_qubits > args.max_verify_qubits:
+            report.message = (
+                f"verification skipped: {report.num_qubits} qubits exceeds the "
+                f"{args.max_verify_qubits}-qubit dense-simulation cap"
+            )
+        else:
+            _, blocks = assemble_fruit(spec)
+            report.error = verify_compile(blocks.fruit, program)
+        write_outputs(program, report, spec)
+    except (InputError, OSError) as exc:
         print(f"Message: {exc}")
         return 1
     except SystemExit as exc:  # --help, after printing the help
         return exc.code
-    if args.max_verify_qubits < 0:
-        print(f"Message: --max-verify-qubits must be >= 0, "
-              f"got {args.max_verify_qubits}")
-        return 1
-    if args.max_verify_qubits > MAX_VERIFY_QUBITS:
-        gib = 16 * 4 ** args.max_verify_qubits / 2 ** 30
-        print(
-            f"Message: --max-verify-qubits {args.max_verify_qubits} exceeds "
-            f"{MAX_VERIFY_QUBITS}: one dense {args.max_verify_qubits}-qubit "
-            f"unitary needs {gib:g} GiB"
-        )
-        return 1
-    spec = FruitSpec(
-        file_prefix=args.prefix,
-        nb_line=args.line_qubits,
-        nb_tree=args.tree_qubits,
-        g=args.coupling,
-        door=args.door,
-        bands_text=args.bands,
-        nt_line=args.line_trots,
-        r_line=args.line_order,
-        nt_tree=args.tree_trots,
-        nt_meta=args.meta_trots,
-        r_meta=args.meta_order,
-    )
-    try:
-        program, report = compile_fruit(spec)
-    except InputError as exc:
-        print(f"Message: {exc}")
-        return 1
-
-    if args.no_verify:
-        report.message = "verification skipped on request"
-    elif report.num_qubits > args.max_verify_qubits:
-        report.message = (
-            f"verification skipped: {report.num_qubits} qubits exceeds the "
-            f"{args.max_verify_qubits}-qubit dense-simulation cap"
-        )
-    else:
-        _, blocks = assemble_fruit(spec)
-        report.error = verify_compile(blocks.fruit, program)
-
-    try:
-        write_outputs(program, report, spec)
-    except OSError as exc:
-        print(f"Message: {exc}")
-        return 1
 
     print(f"Number of Qubits: {report.num_qubits}")
     print(f"Number of Elementary Operations: {report.num_elementary_ops}")

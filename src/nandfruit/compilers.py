@@ -146,9 +146,10 @@ def _rewrite(item, extra: tuple, pad_set: set, rewritten: dict):
 
 def _shift_bodies(k: int, num_qubits: int) -> tuple[list, list]:
     """The bodies of shift(-k) and shift(k), which move a block sitting at
-    offset 0 into offset k and back out."""
-    out = compile_shift(k, num_qubits).body  # first, to check k is in range
-    return compile_shift(-k % 2 ** num_qubits, num_qubits).body, out
+    offset 0 into offset k and back out.  shift(-k) is shift(k) reversed,
+    exactly, since every gate of it is a self-inverse permutation."""
+    out = compile_shift(k, num_qubits).body
+    return out[::-1], out
 
 
 def conjugate_by_shift(fragment: SeoProgram, k: int, num_qubits: int) -> SeoProgram:

@@ -181,19 +181,14 @@ def _unroll(items, out: list) -> None:
             out.append(item)
 
 
-def _format_controls(controls) -> str:
-    parts = [f"{q}{'T' if pol else 'F'}" for q, pol in sorted(controls, reverse=True)]
-    return "IF " + " ".join(parts)
-
-
 def _gate_line(gate: Gate) -> str:
     parts = [gate.kind]
     if gate.angle is not None:
         parts.append(f"{gate.angle:.17g}")
     if gate.target is not None:
         parts += ["AT", str(gate.target)]
-    if gate.controls:
-        parts.append(_format_controls(gate.controls))
+    if gate.controls:  # already highest qubit first
+        parts += ["IF"] + [f"{q}{'T' if pol else 'F'}" for q, pol in gate.controls]
     return " ".join(parts)
 
 

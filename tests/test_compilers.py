@@ -536,10 +536,12 @@ def file_hashes(spec, tmp_path, relabel=True):
 # rotations of a matching began to share their CNOT ladders, which removed
 # 32 of 5592 ops and left the dense error bit-identical; re-pinned when the
 # order-4 tree formula began to fuse the edge stamps at its seams (ops 5560
-# -> 5176, dense error 2.513340538285027e-04 -> 2.513340538285294e-04)
+# -> 5176, dense error 2.513340538285027e-04 -> 2.513340538285294e-04); re-pinned
+# when the shift into the tree offset became the shift out of it reversed
+# (ops 5176 -> 5168, dense error bit-identical)
 README_FILES = (
-    "8355cca676e03d09a892aae9a0fd97531f392af8ad92e739d75def89108bd3c5",
-    "d1ad672f1babd38d91f13ab38cc6c1041ed269909996c2b27b0ecf9dff962f6c",
+    "85f89f6622098cd625774c5e1f9981a2fe57de690918cd135f0bbc53c0237638",
+    "bf8b3fc9cfdfe9eab5dba5ad032122c010257d4f83a879f4e12b0bd8bc0706d1",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -551,12 +553,14 @@ README_FILES = (
 # bit-identical), and again when the higher-order formulas began to fuse the
 # edge stamps at their seams (ops 27800 -> 25880, 29560 -> 27640 and 174200
 # -> 151800; dense errors moved by at most 3e-17, the zero-coupling one
-# stays 0.0)
+# stays 0.0), and again when the shift into the tree offset became the shift
+# out of it reversed (ops 25880 -> 25840 and 151800 -> 151600, the line-4
+# spec unchanged; dense errors bit-identical)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "2b853d752a027f149e8cd6a10a787af98a45a334a028051254f92fb2b84b6fa4",
-        "b511aa7a65bf4871da62eec4197277f5425bf9664d4236a7fd32d641b72519d4",
+        "fa56f1983d0385a413f51a4863d46fdb46492b653072fb0eb604c871754af42c",
+        "d98618e9fe995538143b2d1107393c68738d9d9e52efa78436ea1e156f5009a4",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
@@ -565,8 +569,8 @@ GOLDEN = {
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "1bdbe5dd022252dd75c97fac85babb01312b16968b2f296589caf40907748a01",
-        "070fb26fe45d49e5b2c458916a739960c9f1dbd0a554213ba92eb98173a63f3f",
+        "1be76c16151dfe910994892056d8f34f32e2ad337d4f5d41d072876b5f3b62a1",
+        "58fe9b7de1dd2e022c44743ba2903b121a9c636b069ed794d74e5332b5d756c1",
     ),
 }
 
