@@ -316,19 +316,20 @@ class _MatchingChain:
         return suzuki(2, t, partial(_at_time, self.edge), self.core)
 
 
-def _chain(matchings: list, num_qubits: int, block_qubits: int) -> Callable:
+def _chain(matchings: list, num_qubits: int,
+           block_qubits: int) -> Callable[[float], list]:
     """Emitter of the chain over the nonempty matchings; none emit nothing."""
     plans = [_matching_plan(edges, num_qubits, block_qubits)
              for edges in matchings if edges]
     return _MatchingChain(plans) if plans else lambda t: []
 
 
-def line_emitters(nb_line: int, num_qubits: int | None = None) -> tuple:
+def line_emitters(nb_line: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of line_factors,
-    for the block on the low nb_line qubits of a num_qubits register
-    (nb_line if None).  Each factor is one matching of one-bit rotations, a
-    single multiply-controlled ROTX each."""
-    return tuple(_chain(factor, num_qubits or nb_line, nb_line)
+    for the block on the low nb_line qubits of a num_qubits register.  Each
+    factor is one matching of one-bit rotations, a single multiply-controlled
+    ROTX each."""
+    return tuple(_chain(factor, num_qubits, nb_line)
                  for factor in line_factors(nb_line))
 
 
@@ -342,17 +343,16 @@ def compile_line(
     None), as pad_controls would embed it; embedding at a global offset is
     done by the caller via conjugate_by_shift.
     """
+    num_qubits = num_qubits or layout.nb_line
     emitters = line_emitters(layout.nb_line, num_qubits)
-    return SeoProgram(num_qubits or layout.nb_line,
-                      trotterize(r_line, *emitters, g_eff, nt_line))
+    return SeoProgram(num_qubits, trotterize(r_line, *emitters, g_eff, nt_line))
 
 
-def tree_emitters(nb_tree: int, num_qubits: int | None = None) -> tuple:
+def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of tree_factors,
-    for the block on the low nb_tree qubits of a num_qubits register
-    (nb_tree if None).  A chain stays time-symmetric, all the higher-order
-    recursion needs."""
-    return tuple(_chain(factor, num_qubits or nb_tree, nb_tree)
+    for the block on the low nb_tree qubits of a num_qubits register.  A
+    chain stays time-symmetric, all the higher-order recursion needs."""
+    return tuple(_chain(factor, num_qubits, nb_tree)
                  for factor in tree_factors(nb_tree))
 
 
@@ -364,9 +364,9 @@ def compile_tree(
     Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
     num_qubits register (nb_tree if None), as pad_controls would embed it.
     """
+    num_qubits = num_qubits or layout.nb_tree
     emitters = tree_emitters(layout.nb_tree, num_qubits)
-    return SeoProgram(num_qubits or layout.nb_tree,
-                      trotterize(TREE_ORDER, *emitters, g_eff, nt_tree))
+    return SeoProgram(num_qubits, trotterize(TREE_ORDER, *emitters, g_eff, nt_tree))
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:

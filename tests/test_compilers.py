@@ -370,7 +370,7 @@ class TestTree:
         assert sum(len(_at_time(_matching_plan(edges, 7), 0.1))
                    for factor in tree_factors(7) for edges in factor) == 408
         # as the product formula uses them: A(t) + B(t) with a symmetric chain each
-        emit_a, emit_b = tree_emitters(7)
+        emit_a, emit_b = tree_emitters(7, 7)
         sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
         assert count_elementary_ops(sweep) == 609
 
