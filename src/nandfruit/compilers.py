@@ -23,6 +23,7 @@ from .hamiltonian import (
     line_factors,
     oracle_edges,
     tree_factors,
+    tree_label,
 )
 from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
 
@@ -52,9 +53,10 @@ def _rotation_parts(a: int, b: int, num_qubits: int):
     return pivot, mask, controls
 
 
-def _ladder(pivot: int, targets: Iterable[int], pads: tuple) -> list:
-    """CNOTs from the pivot onto each target, in the order given."""
-    return [Gate("SIGX", target=j, controls=((pivot, True),) + pads)
+def _ladder(pivot: int, targets: Iterable[int], extra: tuple) -> list:
+    """CNOTs from the pivot onto each target, in the order given, each also
+    under the controls extra."""
+    return [Gate("SIGX", target=j, controls=((pivot, True),) + extra)
             for j in targets]
 
 
@@ -231,15 +233,6 @@ def trotterize(order: int, emit_a: Callable[[float], list],
     return body if n_trots == 1 else [Loop(n_trots, body)]
 
 
-def _gray_rank(code: int) -> int:
-    """Position of code in the reflected Gray sequence (inverse Gray code)."""
-    rank = 0
-    while code:
-        rank ^= code
-        code >>= 1
-    return rank
-
-
 def _matching_plan(
     edges: list[tuple[int, int]], num_qubits: int, block_qubits: int | None = None
 ) -> tuple[list, list]:
@@ -252,14 +245,14 @@ def _matching_plan(
 
     Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
     pairs are disjoint, so the rotations commute and any order is exact.
-    They run sorted by (pivot, Gray rank of the ladder mask, lower state);
-    between two rotations on one pivot only the symmetric difference of
-    their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^ L2) R2 L2,
-    exact because CNOTs from one control commute and are self-inverse.
-    Gray order makes neighbouring ladders differ in few CNOTs.  The ROTX
-    controls span the whole register; each CNOT gets an F control on every
-    qubit above the block.  compile_fruit builds one plan per matching per
-    compile, so its CNOT gates are shared by every time.
+    They run sorted by (pivot, ladder mask, lower state); between two
+    rotations on one pivot only the symmetric difference of their ladders
+    is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^ L2) R2 L2, exact because
+    CNOTs from one control commute and are self-inverse, so rotations with
+    one ladder share it.  The ROTX controls span the whole register; each
+    CNOT gets an F control on every qubit above the block.  compile_fruit
+    builds one plan per matching per compile, so its CNOT gates are shared
+    by every time.
     """
     if block_qubits is None:
         block_qubits = num_qubits
@@ -270,7 +263,7 @@ def _matching_plan(
     rots = sorted(
         ((_rotation_parts(min(a, b), max(a, b), num_qubits), min(a, b))
          for a, b in edges),
-        key=lambda r: (r[0][0], _gray_rank(r[0][1]), r[1]),
+        key=lambda r: (r[0][0], r[0][1], r[1]),
     )
     steps = []
     pivot, mask = None, 0
@@ -343,17 +336,36 @@ def compile_line(
     None), as pad_controls would embed it; embedding at a global offset is
     done by the caller via conjugate_by_shift.
     """
-    num_qubits = num_qubits or layout.nb_line
+    num_qubits = layout.nb_line if num_qubits is None else num_qubits
     emitters = line_emitters(layout.nb_line, num_qubits)
     return SeoProgram(num_qubits, trotterize(r_line, *emitters, g_eff, nt_line))
 
 
 def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
-    """(emit_a, emit_b): the chains over the two factors of tree_factors,
-    for the block on the low nb_tree qubits of a num_qubits register.  A
-    chain stays time-symmetric, all the higher-order recursion needs."""
-    return tuple(_chain(factor, num_qubits, nb_tree)
-                 for factor in tree_factors(nb_tree))
+    """(emit_a, emit_b): the chains over the two factors of tree_factors in
+    the frame of tree_label, for the block on the low nb_tree qubits of a
+    num_qubits register.  In that frame the right-child matchings need no
+    CNOT and the left-child ones one ladder of one CNOT per depth.  A chain
+    stays time-symmetric, all the higher-order recursion needs."""
+    return tuple(
+        _chain([[(tree_label(p), tree_label(c)) for p, c in edges]
+                for edges in factor], num_qubits, nb_tree)
+        for factor in tree_factors(nb_tree))
+
+
+def _tree_frame(nb_tree: int, num_qubits: int) -> list:
+    """The permutation from heap order into the frame of tree_label, for the
+    block on the low nb_tree qubits of a num_qubits register; it is its own
+    inverse, so it also maps back.  At each depth d >= 2 it reverses the low
+    d bits, as one swap of bits i and d-1-i per i < d/2, three CNOTs each,
+    under the controls qubit d set and every qubit above it clear."""
+    body = []
+    for d in range(2, nb_tree):
+        depth = ((d, True),) + tuple((q, False) for q in range(d + 1, num_qubits))
+        for i in range(d // 2):
+            there, back = _ladder(i, [d - 1 - i], depth), _ladder(d - 1 - i, [i], depth)
+            body += there + back + there
+    return body
 
 
 def compile_tree(
@@ -363,10 +375,14 @@ def compile_tree(
 
     Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
     num_qubits register (nb_tree if None), as pad_controls would embed it.
+    Inside, the formula runs in the frame of tree_label, between two copies
+    of the permutation into that frame and back.
     """
-    num_qubits = num_qubits or layout.nb_tree
+    num_qubits = layout.nb_tree if num_qubits is None else num_qubits
     emitters = tree_emitters(layout.nb_tree, num_qubits)
-    return SeoProgram(num_qubits, trotterize(TREE_ORDER, *emitters, g_eff, nt_tree))
+    frame = _tree_frame(layout.nb_tree, num_qubits)
+    return SeoProgram(num_qubits, frame + trotterize(TREE_ORDER, *emitters, g_eff,
+                                                     nt_tree) + frame)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -382,7 +398,8 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
 
     Each piece is built once per call: the line and tree emitters (so each
     matching's plan, embedding included, is built once per compile), the
-    shift bodies into and out of the tree offset, and the glue and oracle
+    shift bodies into and out of the tree offset, each joined with the
+    permutation into and out of the tree's frame, and the glue and oracle
     plans; a factor at a time only stamps angles onto them.  Repeated
     factors and half steps are shared by the product-formula recursion,
     which builds each sub-formula once, so the program holds the same Gate,
@@ -396,7 +413,9 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     nb_total = layout.nb_total
     line = line_emitters(layout.nb_line, nb_total)
     tree = tree_emitters(layout.nb_tree, nb_total)
-    shift_in, shift_out = _shift_bodies(layout.tree_offset, nb_total)
+    into, out = _shift_bodies(layout.tree_offset, nb_total)
+    frame = _tree_frame(layout.nb_tree, nb_total)
+    shift_in, shift_out = into + frame, frame + out
     glue = _matching_plan(glue_edges(layout, spec.door), nb_total)
     oracle = _matching_plan(oracle_edges(layout, x), nb_total)
 

@@ -173,10 +173,14 @@ class FruitSpec:
 
         An order-r formula over factors A and B writes at most 5^(r/2-1) (2
         lines(A) + lines(B)) lines, its LOOP 2 more.  It is looser than
-        that: each tree rotation is counted with full ladders, though the
-        rotations of a matching share CNOTs, and the line and tree formulas
-        are counted unfused, though at orders >= 4 the two stamps of A's
-        first matching meeting at each seam are written as one.
+        that: each tree rotation is counted with its full ladder in heap
+        order, though the tree is compiled in the frame of tree_label, where
+        a matching needs at most one two-CNOT ladder per depth, and the line
+        and tree formulas are counted unfused, though at orders >= 4 the two
+        stamps of A's first matching meeting at each seam are written as
+        one.  The two copies of the permutation into the tree's frame are
+        not counted: for 2 to 14 tree qubits the heap-order ladders of one
+        tree step alone outnumber them.
         """
         layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
         n = layout.nb_total
@@ -321,6 +325,20 @@ def tree_factors(nb_tree: int) -> tuple[list, list]:
          for side in (0, 1)]
         for parity in (0, 1)
     )
+
+
+def tree_label(j: int) -> int:
+    """The state of heap node j in the frame the tree block is compiled in:
+    2^d | rev_d(j mod 2^d) at depth d = j.bit_length() - 1, where rev_d
+    reverses the low d bits, so the path from the root is stored first step
+    lowest under the depth's leading one.  An edge from depth d to its right
+    child then flips bit d+1 alone, and to its left child bits d and d+1.
+    The dud 0 and the root 1 keep their labels, every depth keeps its range
+    of states, and labelling twice gives j back."""
+    if j < 2:
+        return j
+    path = format(j, "b")[1:]  # the steps from the root, first step first
+    return 1 << len(path) | int(path[::-1], 2)
 
 
 def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:

@@ -181,15 +181,20 @@ def _unroll(items, out: list) -> None:
             out.append(item)
 
 
-def _gate_line(gate: Gate) -> str:
+def _gate_line(gate: Gate, control_text: str) -> str:
     parts = [gate.kind]
     if gate.angle is not None:
         parts.append(f"{gate.angle:.17g}")
     if gate.target is not None:
         parts += ["AT", str(gate.target)]
-    if gate.controls:  # already highest qubit first
-        parts += ["IF"] + [f"{q}{'T' if pol else 'F'}" for q, pol in gate.controls]
-    return " ".join(parts)
+    return " ".join(parts) + control_text
+
+
+def _control_text(controls: tuple) -> str:
+    """The IF suffix of a gate line; controls are already highest qubit first."""
+    if not controls:
+        return ""
+    return " IF " + " ".join(f"{q}{'T' if pol else 'F'}" for q, pol in controls)
 
 
 def _program_chunks(program: SeoProgram, render_gate) -> list[str]:
@@ -248,8 +253,20 @@ def _emit(items, parts_of, chunks: list, closed: int) -> int:
 
 
 def write_english(program: SeoProgram, path) -> None:
-    """Write the textual gate program, one item per line after the header."""
-    _write_chunks(path, _program_chunks(program, _gate_line))
+    """Write the textual gate program, one item per line after the header.
+
+    The control text depends on the controls alone, so it is rendered once
+    per distinct controls tuple, not per Gate.
+    """
+    suffixes: dict[tuple, str] = {}
+
+    def render(gate: Gate) -> str:
+        suffix = suffixes.get(gate.controls)
+        if suffix is None:
+            suffix = suffixes[gate.controls] = _control_text(gate.controls)
+        return _gate_line(gate, suffix)
+
+    _write_chunks(path, _program_chunks(program, render))
 
 
 def _picture_line(gate: Gate, num_qubits: int) -> str:

@@ -39,7 +39,7 @@ from nandfruit import (
 )
 from nandfruit import compilers
 from nandfruit.compilers import _at_time, _matching_plan, tree_emitters
-from nandfruit.hamiltonian import SparseSymmetric, tree_edges, tree_factors
+from nandfruit.hamiltonian import SparseSymmetric, tree_edges, tree_factors, tree_label
 from nandfruit.seo import Gate
 
 
@@ -178,6 +178,14 @@ class TestPadControls:
         layout = FruitLayout.from_counts(3, 3)
         with pytest.raises(ValueError, match="3-qubit block does not fit a 2-qubit"):
             compile_line(layout, 0.3, 2, 1, 2)
+
+    def test_empty_register_rejected_like_a_small_one(self):
+        # 0 qubits is a register size given, not the block's default
+        layout = FruitLayout.from_counts(3, 4)
+        with pytest.raises(ValueError, match="3-qubit block does not fit a 0-qubit"):
+            compile_line(layout, 0.3, 2, 1, 0)
+        with pytest.raises(ValueError, match="4-qubit block does not fit a 0-qubit"):
+            compile_tree(layout, 0.3, 1, 0)
 
 
 class TestConjugateByShift:
@@ -363,16 +371,24 @@ class TestTree:
 
     def test_sweep_gate_count_at_7_qubits(self):
         # the four matchings of tree_factors, each emitted once: merged
-        # ladders keep 408 of 768 gates
+        # ladders keep 448 of 768 gates in heap order, and in the frame of
+        # tree_label one ROTX per edge plus two CNOTs per left-child depth
         unmerged = sum(len(two_state_rotation(p, c, 0.1, 7).body)
                        for p, c in tree_edges(7))
         assert unmerged == 768
-        assert sum(len(_at_time(_matching_plan(edges, 7), 0.1))
-                   for factor in tree_factors(7) for edges in factor) == 408
-        # as the product formula uses them: A(t) + B(t) with a symmetric chain each
+
+        def merged(label):
+            return sum(len(_at_time(_matching_plan(
+                [(label(p), label(c)) for p, c in edges], 7), 0.1))
+                for factor in tree_factors(7) for edges in factor)
+
+        assert merged(lambda j: j) == 448
+        assert merged(tree_label) == 126 + 2 * 6
+        # as the product formula uses them: A(t) + B(t) with a symmetric chain
+        # each, the left-child matching twice
         emit_a, emit_b = tree_emitters(7, 7)
         sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
-        assert count_elementary_ops(sweep) == 609
+        assert count_elementary_ops(sweep) == 213
 
     def test_chain_half_steps_are_one_list(self):
         # each depth class is the order-2 split of its left-child matching
@@ -384,7 +400,8 @@ class TestTree:
         def rotations(edges, t):  # in a 6-qubit register
             return _at_time(_matching_plan(edges, 6, 5), t)
 
-        factors = tree_factors(5)
+        factors = [[[(tree_label(p), tree_label(c)) for p, c in edges]
+                    for edges in factor] for factor in tree_factors(5)]
         emitters = tree_emitters(5, 6)
         for (left, right), emit in zip(factors, emitters):
             body = emit(0.3)
@@ -538,10 +555,12 @@ def file_hashes(spec, tmp_path, relabel=True):
 # order-4 tree formula began to fuse the edge stamps at its seams (ops 5560
 # -> 5176, dense error 2.513340538285027e-04 -> 2.513340538285294e-04); re-pinned
 # when the shift into the tree offset became the shift out of it reversed
-# (ops 5176 -> 5168, dense error bit-identical)
+# (ops 5176 -> 5168, dense error bit-identical); re-pinned when the tree
+# block began to be compiled in the frame of tree_label (ops 5168 -> 3936,
+# dense error 2.513340538285294e-04 -> 2.5133405382852505e-04)
 README_FILES = (
-    "85f89f6622098cd625774c5e1f9981a2fe57de690918cd135f0bbc53c0237638",
-    "bf8b3fc9cfdfe9eab5dba5ad032122c010257d4f83a879f4e12b0bd8bc0706d1",
+    "22ccd501701f09946a2098e02ef6e3b6ca38e78960310554266c4d632398dcd8",
+    "cabc08f5ccb4ac9f33884d0a580fc2b03a2ee0fb1e8759a6d01de5dc88fcdfd6",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -555,22 +574,25 @@ README_FILES = (
 # -> 151800; dense errors moved by at most 3e-17, the zero-coupling one
 # stays 0.0), and again when the shift into the tree offset became the shift
 # out of it reversed (ops 25880 -> 25840 and 151800 -> 151600, the line-4
-# spec unchanged; dense errors bit-identical)
+# spec unchanged; dense errors bit-identical), and again when the tree block
+# began to be compiled in the frame of tree_label (ops 25840 -> 19680, 27640
+# -> 21480 and 151600 -> 120800; dense errors moved by at most 9e-18, the
+# zero-coupling one stays 0.0)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "fa56f1983d0385a413f51a4863d46fdb46492b653072fb0eb604c871754af42c",
-        "d98618e9fe995538143b2d1107393c68738d9d9e52efa78436ea1e156f5009a4",
+        "daef979d32d3845efde70372e541b6cf355dfb406a7517e4898a8c54f46d535d",
+        "b0dc3044a82fa5caf77347f686b44cb095824961c1b9fd1f89f4655a8de3a13a",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "5ef34685832492fa1f55e0f17598fa71ae6aa385f77a89624a9485559ba129ee",
-        "40882f11d52a8f74774a22eff981bf339c97ea9068c9ffdc2560fd6e52f6526a",
+        "a40f20ab15b2e8eb68290d362f800aa7535f37d6e3257fe1382e991696d8edd7",
+        "7f94aede2136ede8d4acee334d91501e171e2e64513f4bf060f022e81523c917",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "1be76c16151dfe910994892056d8f34f32e2ad337d4f5d41d072876b5f3b62a1",
-        "58fe9b7de1dd2e022c44743ba2903b121a9c636b069ed794d74e5332b5d756c1",
+        "fbf9dfd350bd64a1973825587be33ee50a68e062f8bedf9ce645f8d9f09322d5",
+        "6ef87d865d4a532d157116bc07b0d9e0ced7e7ff04ebd50113e1a54e4325e4fc",
     ),
 }
 

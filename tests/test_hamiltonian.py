@@ -22,6 +22,7 @@ from nandfruit.hamiltonian import (
     line_edges,
     tree_edges,
     tree_factors,
+    tree_label,
 )
 
 
@@ -108,6 +109,24 @@ class TestTreeHamiltonian:
         for m in matchings:
             states = [s for edge in m for s in edge]
             assert len(set(states)) == len(states)
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_tree_label_permutes_each_depth(self, nb):
+        assert tree_label(0) == 0 and tree_label(1) == 1
+        for d in range(nb):
+            depth = range(2 ** d, 2 ** (d + 1))
+            assert sorted(tree_label(j) for j in depth) == list(depth)
+        leaves = range(2 ** (nb - 1), 2 ** nb)
+        assert {tree_label(j) for j in leaves} == set(leaves)
+        assert all(tree_label(tree_label(j)) == j for j in range(2 ** nb))
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_tree_label_edges_flip_one_mask_per_depth(self, nb):
+        # right child: bit d+1 alone; left child: bits d and d+1
+        for p, c in tree_edges(nb):
+            d = p.bit_length() - 1
+            flip = 1 << d + 1 if c % 2 else 3 << d
+            assert tree_label(p) ^ tree_label(c) == flip, (p, c)
 
 
 class TestParseBands:
