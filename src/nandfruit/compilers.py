@@ -22,6 +22,7 @@ from .hamiltonian import (
     glue_edges,
     line_factors,
     oracle_edges,
+    parse_bands,
     tree_factors,
     tree_label,
 )
@@ -29,13 +30,14 @@ from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
 
 
 def _rotation_parts(a: int, b: int, num_qubits: int):
-    """(pivot, ladder mask, ROTX controls) of the rotation on states a, b.
+    """(pivot, ladder mask, control cube) of the rotation on states a, b.
 
     The ladder is one CNOT from the pivot (the lowest bit where a and b
     differ) onto each other differing bit, the set bits of the mask; it
     maps a, b to states differing in the pivot alone, where the ROTX acts
-    under controls on every other qubit.  Two ladders on one pivot commute,
-    and each is its own inverse.
+    under controls on every other qubit: the cube (care mask, value) of
+    those qubits' bits.  Two ladders on one pivot commute, and each is its
+    own inverse.
     """
     if a == b:
         raise ValueError("two_state_rotation needs distinct states")
@@ -43,14 +45,26 @@ def _rotation_parts(a: int, b: int, num_qubits: int):
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError(f"states ({a}, {b}) out of range for {num_qubits} qubits")
     diff = a ^ b
-    pivot = (diff & -diff).bit_length() - 1
-    mask = diff ^ (1 << pivot)
+    pivot = diff & -diff
+    mask = diff ^ pivot
     # image of a after the ladder (other differing bits get absorbed into pivot)
-    a_img = a ^ mask if a >> pivot & 1 else a
-    controls = tuple(
-        (q, bool(a_img >> q & 1)) for q in range(num_qubits) if q != pivot
-    )
-    return pivot, mask, controls
+    a_img = a ^ mask if a & pivot else a
+    return pivot.bit_length() - 1, mask, ((dim - 1) ^ pivot, a_img & ~pivot)
+
+
+def _merge_cubes(cubes: set, num_qubits: int) -> list:
+    """The disjoint cubes (care mask, value), with every two that differ
+    only in one qubit's polarity replaced by their union, qubit by qubit,
+    sorted by value.  The union of two disjoint cubes is exact and disjoint
+    from the rest.  One pass in ascending qubit order reaches a fixed
+    point: were two cubes merged at qubit r to differ only in an earlier
+    qubit q, so would their halves, which the pass at q had merged."""
+    for q in range(num_qubits):
+        bit = 1 << q
+        cubes = {(care & ~bit, value & ~bit)
+                 if care & bit and (care, value ^ bit) in cubes else (care, value)
+                 for care, value in cubes}
+    return sorted(cubes, key=lambda cube: (cube[1], cube[0]))
 
 
 def _ladder(pivot: int, targets: Iterable[int], extra: tuple) -> list:
@@ -233,26 +247,53 @@ def trotterize(order: int, emit_a: Callable[[float], list],
     return body if n_trots == 1 else [Loop(n_trots, body)]
 
 
+def _plan_shape(edges: list[tuple[int, int]], num_qubits: int) -> tuple[list, tuple]:
+    """A matching plan as integers, before its gates are made: per (pivot,
+    ladder mask) group in order, the (control, targets) of the CNOTs that
+    undo the ladder before it, its pivot, the targets of its own ladder and
+    its merged control cubes; then the (control, targets) of the CNOTs that
+    undo the last ladder.  _matching_plan makes its gates and
+    english_line_bound counts them."""
+    groups: dict[tuple[int, int], set] = {}
+    for a, b in edges:
+        pivot, mask, cube = _rotation_parts(a, b, num_qubits)
+        groups.setdefault((pivot, mask), set()).add(cube)
+    steps = []
+    pivot, mask = None, 0
+    for (new_pivot, new_mask), cubes in sorted(groups.items()):
+        undo, do = mask, new_mask
+        if new_pivot == pivot:
+            undo, do = mask & ~new_mask, new_mask & ~mask
+        steps.append(((pivot, _bits(undo)[::-1]), new_pivot, _bits(do),
+                      _merge_cubes(cubes, num_qubits)))
+        pivot, mask = new_pivot, new_mask
+    return steps, (pivot, _bits(mask)[::-1])
+
+
 def _matching_plan(
     edges: list[tuple[int, int]], num_qubits: int, block_qubits: int | None = None
 ) -> tuple[list, list]:
     """Exact exponential of a disjoint (matching) edge set, as a plan that
-    _at_time stamps with the angles of one time: per rotation, the CNOTs
-    before it, its pivot and its controls; then the CNOTs that undo the
-    last ladder.  The edges are of a block on the low block_qubits of the
+    _at_time stamps with the angles of one time: per ROTX, the CNOTs before
+    it, its pivot and its controls; then the CNOTs that undo the last
+    ladder.  The edges are of a block on the low block_qubits of the
     num_qubits register (all of it if None), and the plan acts on the block
     where every qubit above it is 0, as pad_controls would embed it.
 
     Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
     pairs are disjoint, so the rotations commute and any order is exact.
-    They run sorted by (pivot, ladder mask, lower state); between two
-    rotations on one pivot only the symmetric difference of their ladders
-    is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^ L2) R2 L2, exact because
-    CNOTs from one control commute and are self-inverse, so rotations with
-    one ladder share it.  The ROTX controls span the whole register; each
-    CNOT gets an F control on every qubit above the block.  compile_fruit
-    builds one plan per matching per compile, so its CNOT gates are shared
-    by every time.
+    Rotations with one (pivot, ladder mask) share the ladder and one ROTX
+    per control cube: their cubes merge into their exact union
+    (_merge_cubes), and since every ROTX of the plan has one angle and acts
+    as exp(i theta X) on each pair its cube covers, a merged ROTX is the
+    product of the ones it replaces, phase included.  The groups run sorted
+    by (pivot, ladder mask); between two on one pivot only the symmetric
+    difference of their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^
+    L2) R2 L2, exact because CNOTs from one control commute and are
+    self-inverse.  The shape of the plan (_plan_shape) is the block's own;
+    each gate then gets an F control on every qubit above the block, which
+    no merge can drop.  compile_fruit builds one plan per matching per
+    compile, so its CNOT gates are shared by every time.
     """
     if block_qubits is None:
         block_qubits = num_qubits
@@ -260,22 +301,16 @@ def _matching_plan(
         raise ValueError(f"a {block_qubits}-qubit block does not fit a "
                          f"{num_qubits}-qubit register")
     pads = tuple((q, False) for q in range(block_qubits, num_qubits))
-    rots = sorted(
-        ((_rotation_parts(min(a, b), max(a, b), num_qubits), min(a, b))
-         for a, b in edges),
-        key=lambda r: (r[0][0], r[0][1], r[1]),
-    )
+    shape, (last, tail) = _plan_shape(edges, block_qubits)
     steps = []
-    pivot, mask = None, 0
-    for (new_pivot, new_mask, controls), _ in rots:
-        undo, do = mask, new_mask
-        if new_pivot == pivot:
-            undo, do = mask & ~new_mask, new_mask & ~mask
-        cnots = (_ladder(pivot, _bits(undo)[::-1], pads)
-                 + _ladder(new_pivot, _bits(do), pads))
-        steps.append((cnots, new_pivot, controls))
-        pivot, mask = new_pivot, new_mask
-    return steps, _ladder(pivot, _bits(mask)[::-1], pads)
+    for (before, undo), pivot, do, cubes in shape:
+        cnots = _ladder(before, undo, pads) + _ladder(pivot, do, pads)
+        for care, value in cubes:
+            controls = tuple((q, bool(value >> q & 1))
+                             for q in range(block_qubits) if care >> q & 1)
+            steps.append((cnots, pivot, controls + pads))
+            cnots = []
+    return steps, _ladder(last, tail, pads)
 
 
 def _at_time(plan: tuple[list, list], theta: float) -> list:
@@ -317,11 +352,19 @@ def _chain(matchings: list, num_qubits: int,
     return _MatchingChain(plans) if plans else lambda t: []
 
 
+def _framed_tree_factors(nb_tree: int) -> list:
+    """tree_factors with every node mapped through tree_label."""
+    return [[[(tree_label(p), tree_label(c)) for p, c in edges] for edges in factor]
+            for factor in tree_factors(nb_tree)]
+
+
 def line_emitters(nb_line: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of line_factors,
     for the block on the low nb_line qubits of a num_qubits register.  Each
-    factor is one matching of one-bit rotations, a single multiply-controlled
-    ROTX each."""
+    factor is one matching of one-bit rotations, and they need one ROTX per
+    flipped bit: the even matching flips bit 0 on every pair, so it is one
+    ROTX with no control in the block, and the odd one flips bit j >= 1 on
+    the pairs whose bits below j read 0...01, one ROTX with j controls."""
     return tuple(_chain(factor, num_qubits, nb_line)
                  for factor in line_factors(nb_line))
 
@@ -344,13 +387,12 @@ def compile_line(
 def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of tree_factors in
     the frame of tree_label, for the block on the low nb_tree qubits of a
-    num_qubits register.  In that frame the right-child matchings need no
-    CNOT and the left-child ones one ladder of one CNOT per depth.  A chain
-    stays time-symmetric, all the higher-order recursion needs."""
-    return tuple(
-        _chain([[(tree_label(p), tree_label(c)) for p, c in edges]
-                for edges in factor], num_qubits, nb_tree)
-        for factor in tree_factors(nb_tree))
+    num_qubits register.  In that frame the edges of one depth and side
+    form one control cube, so a right-child matching is one ROTX per depth
+    and a left-child one adds a ladder of one CNOT per depth.  A chain stays
+    time-symmetric, all the higher-order recursion needs."""
+    return tuple(_chain(factor, num_qubits, nb_tree)
+                 for factor in _framed_tree_factors(nb_tree))
 
 
 def _tree_frame(nb_tree: int, num_qubits: int) -> list:
@@ -383,6 +425,50 @@ def compile_tree(
     frame = _tree_frame(layout.nb_tree, num_qubits)
     return SeoProgram(num_qubits, frame + trotterize(TREE_ORDER, *emitters, g_eff,
                                                      nt_tree) + frame)
+
+
+def english_line_bound(spec: FruitSpec) -> int:
+    """Upper bound on the lines of the English file of a spec whose fields
+    are valid, counted from the shapes of its matching plans without
+    compiling.
+
+    An order-r formula over factors A and B writes at most 5^(r/2-1) (2
+    lines(A) + lines(B)) lines, its LOOP 2 more.  Each matching counts the
+    gates of its plan, whose shape is the block's own (the F controls above
+    a block add no gate); the shifts and the two copies of the permutation
+    into the tree's frame count their gates.  It is an upper bound because
+    the line and tree formulas are counted unfused, though at orders >= 4
+    the two stamps of A's first matching meeting at each seam are written
+    as one.
+    """
+    layout = FruitLayout.from_counts(spec.nb_line, spec.nb_tree)
+    x = parse_bands(spec.bands_text, layout.ns_lvs)
+    n = layout.nb_total
+
+    def formula(order, a2b, trots):  # capped: 5**20 lines fail anyway
+        return 5 ** min(order // 2 - 1, 20) * a2b + 2 * (trots > 1)
+
+    def gates(edges, block_qubits):  # of the matching's plan at one time
+        steps, (_, tail) = _plan_shape(edges, block_qubits)
+        return sum(len(undo) + len(do) + len(cubes)
+                   for (_, undo), _, do, cubes in steps) + len(tail)
+
+    def lines(factor, block_qubits):  # a chain writes every matching but its last twice
+        counts = [gates(edges, block_qubits) for edges in factor]
+        return 2 * sum(counts) - counts[-1]
+
+    def a2b(factors, block_qubits):
+        a, b = factors
+        return 2 * lines(a, block_qubits) + lines(b, block_qubits)
+
+    line = formula(spec.r_line, a2b(line_factors(spec.nb_line), spec.nb_line),
+                   spec.nt_line)
+    into, _ = _shift_bodies(layout.tree_offset, n)
+    tree = (formula(TREE_ORDER, a2b(_framed_tree_factors(spec.nb_tree), spec.nb_tree),
+                    spec.nt_tree)
+            + 2 * (len(into) + len(_tree_frame(spec.nb_tree, spec.nb_tree))))
+    corr = gates(glue_edges(layout, spec.door), n) + gates(oracle_edges(layout, x), n)
+    return 1 + formula(spec.r_meta, 2 * (line + tree) + corr, spec.nt_meta)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:

@@ -19,15 +19,17 @@ class InputError(ValueError):
 
 # Largest line or tree register accepted.  Measured at the smallest trots and
 # orders (Intel Xeon, single-threaded): a 14-qubit line plus a 14-qubit tree
-# compiles in 11.5 s and writes its 5.4 M-op English file in 4.7 s at
-# 0.78 GB peak RSS, and each further tree qubit roughly doubles time and
-# memory.  Without a bound, a 40-qubit line ends in a MemoryError inside
-# gray_code instead of an InputError.
+# compiles in 0.17 s and writes its 1,777-op English file in 2 ms at 33 MB
+# peak RSS, and one more qubit in each block roughly doubles the time.
+# Without a bound, a 40-qubit line ends in a MemoryError inside gray_code
+# instead of an InputError.
 MAX_BLOCK_QUBITS = 14
 
-# Largest English file accepted, in lines: english_line_bound() of the spec
-# above with trot counts above 1, so every register admitted at the smallest
-# orders stays admitted.  Each +2 in an order multiplies the lines by 5.
+# Largest English file accepted, in lines: a file-size budget of about
+# 240 MB at the 44 bytes a line of a 14 + 14-qubit file.  The value is what
+# an older, looser line bound gave 14 + 14 qubits at the smallest orders, so
+# no spec admitted under it is refused.  Each +2 in an order multiplies the
+# lines by 5.
 MAX_ENGLISH_LINES = 5_470_136
 
 # Largest |g| accepted.  Every rotation angle is -2 g times a product of
@@ -169,42 +171,12 @@ class FruitSpec:
             )
 
     def english_line_bound(self) -> int:
-        """Upper bound on the lines of the English file, found without compiling.
+        """Upper bound on the lines of the English file, counted from the
+        shapes of the compiler's matching plans without compiling (see
+        compilers.english_line_bound)."""
+        from .compilers import english_line_bound  # compilers imports this module
 
-        An order-r formula over factors A and B writes at most 5^(r/2-1) (2
-        lines(A) + lines(B)) lines, its LOOP 2 more.  It is looser than
-        that: each tree rotation is counted with its full ladder in heap
-        order, though the tree is compiled in the frame of tree_label, where
-        a matching needs at most one two-CNOT ladder per depth, and the line
-        and tree formulas are counted unfused, though at orders >= 4 the two
-        stamps of A's first matching meeting at each seam are written as
-        one.  The two copies of the permutation into the tree's frame are
-        not counted: for 2 to 14 tree qubits the heap-order ladders of one
-        tree step alone outnumber them.
-        """
-        layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
-        n = layout.nb_total
-
-        def formula(order, a2b, trots):  # capped: 5**20 lines fail anyway
-            return 5 ** min(order // 2 - 1, 20) * a2b + 2 * (trots > 1)
-
-        def rotation(a, b):  # gates of the two-state rotation
-            return 2 * bin(a ^ b).count("1") - 1
-
-        def lines(factor):  # a chain writes every matching but its last twice
-            gates = [sum(rotation(a, b) for a, b in matching) for matching in factor]
-            return 2 * sum(gates) - gates[-1]
-
-        def a2b(a, b):
-            return 2 * lines(a) + lines(b)
-
-        line = formula(self.r_line, a2b(*line_factors(self.nb_line)), self.nt_line)
-        # plus two shift circuits of at most n (n + 1) / 2 gates each
-        tree = (formula(TREE_ORDER, a2b(*tree_factors(self.nb_tree)), self.nt_tree)
-                + n * (n + 1))
-        corr = 2 * n - 1 + sum(rotation(layout.leaf_index(j), layout.extra_index(j))
-                               for j in range(layout.ns_lvs))
-        return 1 + formula(self.r_meta, 2 * (line + tree) + corr, self.nt_meta)
+        return english_line_bound(self)
 
     def resolve(self) -> tuple[FruitLayout, NandInputs]:
         """Validate the spec, then build its layout and its NAND inputs."""

@@ -39,7 +39,13 @@ from nandfruit import (
 )
 from nandfruit import compilers
 from nandfruit.compilers import _at_time, _matching_plan, tree_emitters
-from nandfruit.hamiltonian import SparseSymmetric, tree_edges, tree_factors, tree_label
+from nandfruit.hamiltonian import (
+    SparseSymmetric,
+    line_factors,
+    tree_edges,
+    tree_factors,
+    tree_label,
+)
 from nandfruit.seo import Gate
 
 
@@ -346,11 +352,26 @@ class TestLine:
         assert 3.2 <= errs[4] / errs[8] <= 4.8
         assert 3.2 <= errs[8] / errs[16] <= 4.8
 
-    def test_all_rotations_single_controlled_rotx(self):
-        layout = FruitLayout.from_counts(3, 3)
-        gates = expand(compile_line(layout, 0.5, 2, 1))
-        assert all(gate.kind == "ROTX" for gate in gates)
-        assert all(len(gate.controls) == layout.nb_line - 1 for gate in gates)
+    def test_line_matchings_are_one_rotx_per_flipped_bit(self):
+        # the even Gray matching flips bit 0 on every pair: one ROTX with
+        # no block control; the odd one flips bit j >= 1 on the pairs whose
+        # bits below j read 0...01: one ROTX per j, with j controls.  Each
+        # also carries an F control on every qubit above the block
+        nb_line, num_qubits = 5, 7
+        pads = [(q, False) for q in range(nb_line, num_qubits)]
+        (even,), (odd,) = line_factors(nb_line)
+        (rotx,) = _at_time(_matching_plan(even, num_qubits, nb_line), 0.5)
+        assert (rotx.kind, rotx.target) == ("ROTX", 0)
+        assert sorted(rotx.controls) == pads
+        gates = _at_time(_matching_plan(odd, num_qubits, nb_line), 0.5)
+        assert [(gate.kind, gate.target) for gate in gates] == [
+            ("ROTX", j) for j in range(1, nb_line)]
+        for j, gate in enumerate(gates, 1):
+            assert sorted(gate.controls) == sorted(
+                [(i, False) for i in range(j - 1)] + [(j - 1, True)] + pads)
+        layout = FruitLayout.from_counts(nb_line, 3)
+        assert all(gate.kind == "ROTX"
+                   for gate in expand(compile_line(layout, 0.5, 2, 1)))
 
 
 class TestTree:
@@ -372,7 +393,8 @@ class TestTree:
     def test_sweep_gate_count_at_7_qubits(self):
         # the four matchings of tree_factors, each emitted once: merged
         # ladders keep 448 of 768 gates in heap order, and in the frame of
-        # tree_label one ROTX per edge plus two CNOTs per left-child depth
+        # tree_label, where the edges of one depth and side form one cube,
+        # one ROTX per depth and side plus two CNOTs per left-child depth
         unmerged = sum(len(two_state_rotation(p, c, 0.1, 7).body)
                        for p, c in tree_edges(7))
         assert unmerged == 768
@@ -383,12 +405,12 @@ class TestTree:
                 for factor in tree_factors(7) for edges in factor)
 
         assert merged(lambda j: j) == 448
-        assert merged(tree_label) == 126 + 2 * 6
+        assert merged(tree_label) == 6 * 2 + 2 * 6
         # as the product formula uses them: A(t) + B(t) with a symmetric chain
         # each, the left-child matching twice
         emit_a, emit_b = tree_emitters(7, 7)
         sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
-        assert count_elementary_ops(sweep) == 213
+        assert count_elementary_ops(sweep) == 42
 
     def test_chain_half_steps_are_one_list(self):
         # each depth class is the order-2 split of its left-child matching
@@ -557,10 +579,12 @@ def file_hashes(spec, tmp_path, relabel=True):
 # when the shift into the tree offset became the shift out of it reversed
 # (ops 5176 -> 5168, dense error bit-identical); re-pinned when the tree
 # block began to be compiled in the frame of tree_label (ops 5168 -> 3936,
-# dense error 2.513340538285294e-04 -> 2.5133405382852505e-04)
+# dense error 2.513340538285294e-04 -> 2.5133405382852505e-04); re-pinned
+# when the rotations of a matching that share a ladder began to share one
+# ROTX per control cube (ops 3936 -> 3228, dense error bit-identical)
 README_FILES = (
-    "22ccd501701f09946a2098e02ef6e3b6ca38e78960310554266c4d632398dcd8",
-    "cabc08f5ccb4ac9f33884d0a580fc2b03a2ee0fb1e8759a6d01de5dc88fcdfd6",
+    "614c3b13753efcaf19a4f4c68e30e21734fa3c4f20ceb190fe9821c4a2e4c6d2",
+    "824e5b3e7153a87c029baa437d1db56500c26ac4e62dc2a906e3d32ae7591e60",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -577,22 +601,24 @@ README_FILES = (
 # spec unchanged; dense errors bit-identical), and again when the tree block
 # began to be compiled in the frame of tree_label (ops 25840 -> 19680, 27640
 # -> 21480 and 151600 -> 120800; dense errors moved by at most 9e-18, the
-# zero-coupling one stays 0.0)
+# zero-coupling one stays 0.0), and again when the rotations of a matching
+# that share a ladder began to share one ROTX per control cube (ops 19680 ->
+# 16140, 21480 -> 16180 and 120800 -> 90300; dense errors bit-identical)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "daef979d32d3845efde70372e541b6cf355dfb406a7517e4898a8c54f46d535d",
-        "b0dc3044a82fa5caf77347f686b44cb095824961c1b9fd1f89f4655a8de3a13a",
+        "e40b63d6a1253cf5728bcb270c4d4fc371eac834480ebb87b511acf5eb9db047",
+        "dcc64a52a96dff2218fbd585a1adb1ffc2e73e01f8d6d804ad40ca4a9b35f6b4",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "a40f20ab15b2e8eb68290d362f800aa7535f37d6e3257fe1382e991696d8edd7",
-        "7f94aede2136ede8d4acee334d91501e171e2e64513f4bf060f022e81523c917",
+        "e7ebbaf616377bd3225de26a8748f96e4b8789b41ce5ff854a3624d27443ae9e",
+        "702ac6fe4013b03f5769018dbbf692cdf1c21e09a7c87709dfd42a337f1978ea",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "fbf9dfd350bd64a1973825587be33ee50a68e062f8bedf9ce645f8d9f09322d5",
-        "6ef87d865d4a532d157116bc07b0d9e0ced7e7ff04ebd50113e1a54e4325e4fc",
+        "0a01d82a64b60e9d7fcc96e1fcf4e261050b4f48a7636c586b65dead69051424",
+        "b7b5598eab91c7d79c584f9800cd9717ed5036b68924c4b16f0ef6e2b8d4fad5",
     ),
 }
 

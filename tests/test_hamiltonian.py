@@ -283,22 +283,26 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("spec,bound", [
         (make_spec(door=2, bands_text="0,1;3,3", nt_line=4, nt_tree=4, nt_meta=4),
-         442),
+         260),
         (make_spec(nb_line=6, nb_tree=5, door=2, bands_text="0,1;3,3;6,12",
-                   nt_line=4, nt_tree=4, nt_meta=4), 2854),
+                   nt_line=4, nt_tree=4, nt_meta=4), 509),
         (make_spec(nb_line=7, nb_tree=7, door=5, bands_text="0,20;40,60",
-                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 86978),
+                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 4243),
     ], ids=["readme", "verify-7q", "compile-9q"])
     def test_line_bound_pinned(self, spec, bound):
         assert spec.english_line_bound() == bound
 
     def test_line_limit_is_the_largest_register_at_smallest_orders(self):
-        # so every register admitted before orders were bounded still is
+        # the budget admits every register admitted before orders were
+        # bounded, and the largest one at line order 4 up to meta order 10
+        # (at line and meta order 4 it writes 9,446 lines); at meta order 12
+        # its bound passes 6 M
         largest = make_spec(nb_line=14, nb_tree=14, nt_line=2, nt_tree=2, nt_meta=2)
-        assert largest.english_line_bound() == MAX_ENGLISH_LINES
+        assert largest.english_line_bound() <= MAX_ENGLISH_LINES
         largest.validate()
+        make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=10).validate()
         with pytest.raises(InputError, match="English lines"):
-            make_spec(nb_line=14, nb_tree=14, r_line=4).validate()
+            make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=12).validate()
 
     def test_resolve(self):
         layout, x = make_spec(bands_text="1,2").resolve()

@@ -1,6 +1,7 @@
 """Property tests over small specs: English round trips, op counts and the
-unitary of the written file; the merged-ladder rotations of one matching
-against their dense exponential; the exact components (two-state rotation,
+unitary of the written file; the merged-ladder rotations of one matching,
+and its rotations merged into one ROTX per control cube, against their
+dense exponential; the exact components (two-state rotation,
 shift, glue, oracle, padding) against their closed forms, global phase
 included; product formulas with the edge stamps fused at their seams
 against the unfused ones; the tree compiled in the frame of tree_label
@@ -127,6 +128,57 @@ def test_merged_ladders_are_the_exact_exponential(case):
                               expi_hermitian(h)) <= 1e-12
     unmerged = sum(len(two_state_rotation(a, b, theta, n).body) for a, b in edges)
     assert len(body) <= unmerged
+
+
+@st.composite
+def cube_matchings(draw):
+    """(block, disjoint state pairs, theta, register the block sits in),
+    drawn as up to four runs of pairs, each kept where it shares no state
+    with an earlier pair: a whole subcube of the pairs (s, s ^ d) for one
+    flip mask d, a band of pairs (a + k, b + k) for consecutive k as the
+    oracle couples leaves to their markers, or random pairs.  A flip mask
+    may have several bits."""
+    n = draw(st.integers(2, 6))
+    dim = 2 ** n
+    used, edges = set(), []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cube", "band", "random"]))
+        if kind == "cube":
+            d = draw(st.integers(1, dim - 1))
+            care = draw(st.integers(0, dim - 1)) & ~d
+            value = draw(st.integers(0, dim - 1)) & care
+            pairs = [(s, s ^ d) for s in range(dim)
+                     if s & care == value and not s & d & -d]
+        elif kind == "band":
+            a, b = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2,
+                                 unique=True))
+            pairs = [(a + k, b + k)
+                     for k in range(draw(st.integers(1, dim - max(a, b))))]
+        else:
+            pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                            st.integers(0, dim - 1))))
+        for a, b in pairs:
+            if a != b and not {a, b} & used:
+                used |= {a, b}
+                edges.append((a, b))
+    return n, edges, draw(st.floats(-3.0, 3.0)), draw(st.integers(n, n + 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=cube_matchings())
+@example(case=(4, [(s, s ^ 1) for s in range(0, 16, 2)], 0.7, 5))
+@example(case=(5, [(24 + k, 8 + k) for k in range(3, 8)], -1.1, 6))
+def test_merged_cubes_are_the_exact_exponential(case):
+    # the rotations of one (pivot, ladder mask) share one ROTX per control
+    # cube; the plan stays exp(i theta sum(|a><b| + |b><a|)), phase included
+    n, edges, theta, m = case
+    body = _at_time(_matching_plan(edges, m, n), theta)
+    h = np.zeros((2 ** m, 2 ** m))
+    for a, b in edges:
+        h[a, b] = h[b, a] = theta
+    assert frobenius_distance(program_unitary(SeoProgram(m, body)),
+                              expi_hermitian(h)) <= 1e-12
+    assert sum(gate.kind == "ROTX" for gate in body) <= len(edges)
 
 
 def matching_exp(num_qubits, pairs, theta):
