@@ -8,7 +8,7 @@ every NAND input bit that is 1.  All blocks share one real coupling constant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -179,10 +179,22 @@ class FruitSpec:
         return english_line_bound(self)
 
     def resolve(self) -> tuple[FruitLayout, NandInputs]:
-        """Validate the spec, then build its layout and its NAND inputs."""
+        """Validate the spec, then build its layout and its NAND inputs.
+
+        The result is kept on the spec with the field values it was built
+        from, so compile_fruit and assemble_fruit on one spec validate it
+        once; a spec whose fields changed since is validated again, and an
+        invalid one raises on every call.
+        """
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        kept = vars(self).get("_resolved")
+        if kept is not None and kept[0] == values:
+            return kept[1]
         self.validate()
         layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
-        return layout, parse_bands(self.bands_text, layout.ns_lvs)
+        resolved = layout, parse_bands(self.bands_text, layout.ns_lvs)
+        self._resolved = values, resolved
+        return resolved
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,24 @@ products for whole programs, and the norms behind the reported error.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .hamiltonian import SparseSymmetric
 # expand stays importable here: perfbench/tracer.py traces nandfruit.verify.expand
 from .seo import Gate, Loop, SeoProgram, expand  # noqa: F401
 
-# largest register the dense verifier handles by default (dim 1024)
+# largest register the dense verifier handles by default (dim 1024).  With
+# one BLAS thread (x86-64), the whole CLI run at line and meta order 4 takes
+# about 2.6 s at 10 qubits (program_unitary 1.5 s, exp(iH) 0.17 s, 146 MB
+# peak RSS) and 16 s at 11 (9.9 s and 1.5 s, 489 MB)
 DEFAULT_MAX_VERIFY_QUBITS = 10
 
 # largest cap accepted at all: a 13-qubit dense complex matrix takes 1 GiB,
-# and program_unitary holds one per loop-nesting level and distinct loop body
+# and program_unitary holds one matrix per loop-nesting level plus one
+# |S|^2 block per distinct loop body and one |S|^2 power per distinct
+# (body, reps), where |S| is the number of rows the body touches
 MAX_VERIFY_QUBITS = 13
 
 
@@ -27,13 +34,20 @@ def _as_dense(h) -> np.ndarray:
 def expi_hermitian(h) -> np.ndarray:
     """exp(i*H) for a real symmetric H, via eigendecomposition.
 
-    Accepts a SparseSymmetric or a dense array.
+    Accepts a SparseSymmetric or a dense array.  Only the states H couples,
+    those whose row is not all zero, go through eigh: every other state has
+    a zero row and column, so exp(iH) is exactly 1 on its diagonal entry and
+    0 elsewhere in its row and column.
     """
     dense = _as_dense(h)
     if not np.all(np.isfinite(dense)):
         raise ValueError("Hamiltonian has non-finite entries")
-    w, v = np.linalg.eigh(dense)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    live = np.flatnonzero(dense.any(axis=1))
+    block = np.ix_(live, live)
+    w, v = np.linalg.eigh(dense[block])
+    out = np.eye(dense.shape[0], dtype=complex)
+    out[block] = (v * np.exp(1j * w)) @ v.conj().T
+    return out
 
 
 def _rotation_block(kind: str, angle: float) -> np.ndarray:
@@ -99,37 +113,87 @@ def apply_gate(u: np.ndarray, gate: Gate, row_cache: dict) -> None:
 def program_unitary(program: SeoProgram) -> np.ndarray:
     """Multiply out all gates; the first listed gate acts first on states.
 
-    Each LOOP body is multiplied out once and raised to its rep count; a
-    body list shared by several loops is multiplied out once per call, so
-    the walk holds one dense matrix per loop-nesting level plus one per
-    distinct loop body.  A list item is applied in place, gate by gate, on
-    the running product; it gets no matrix of its own.
+    A gate changes only the rows it touches and maps them among themselves,
+    so a LOOP body is the identity outside its support S: the union of the
+    rows its gates touch, nested lists and loops included.  Each distinct
+    body is multiplied out once, on the columns S of the identity, and only
+    its |S| x |S| block on S is kept.  The block is raised to the rep count
+    once per distinct (body, reps) and applied to the rows S of the running
+    product, through a basic slice when S is a contiguous range.  S is read
+    from the gates, so any program works, not only a compiled one.  A list
+    item is applied in place, gate by gate; it gets no matrix of its own.
+
+    The walk holds one matrix per loop-nesting level (dim x dim at the top,
+    dim x |S| inside a body), one |S|^2 block per distinct body and one
+    |S|^2 power per distinct (body, reps).
     """
-    return _product(program.body, 2 ** program.num_qubits, {}, {})
+    dim = 2 ** program.num_qubits
+    u = np.eye(dim, dtype=complex)
+    _apply(program.body, u, _Walk(dim))
+    return u
+
+
+@dataclass
+class _Walk:
+    """What one program_unitary call caches, keyed by the ids of the
+    program's objects (alive for the whole call)."""
+
+    dim: int
+    row_cache: dict = field(default_factory=dict)  # see _touched_rows
+    supports: dict = field(default_factory=dict)  # id(list) -> row mask
+    blocks: dict = field(default_factory=dict)  # id(body) -> (rows S, block)
+    powers: dict = field(default_factory=dict)  # (id(body), reps) -> power
 
 
 # The walk recurses through these module-level functions, not through nested
 # closures: a closure that calls itself is a reference cycle, which would keep
-# every body product alive until the garbage collector next runs.
-def _product(items, dim: int, row_cache: dict, body_products: dict) -> np.ndarray:
-    u = np.eye(dim, dtype=complex)
-    _apply(items, u, row_cache, body_products)
-    return u
-
-
-def _apply(items, u: np.ndarray, row_cache: dict, body_products: dict) -> None:
+# every body block alive until the garbage collector next runs.
+def _apply(items, u: np.ndarray, walk: _Walk) -> None:
     for item in items:
         if isinstance(item, list):
-            _apply(item, u, row_cache, body_products)
+            _apply(item, u, walk)
         elif isinstance(item, Loop):
-            body = body_products.get(id(item.body))
-            if body is None:
-                body = body_products[id(item.body)] = _product(
-                    item.body, u.shape[0], row_cache, body_products)
-            # written back so no caller frame holds a stale u
-            u[...] = np.linalg.matrix_power(body, item.reps) @ u
+            rows, block = _body_block(item.body, walk)
+            key = (id(item.body), item.reps)
+            power = walk.powers.get(key)
+            if power is None:
+                power = walk.powers[key] = np.linalg.matrix_power(block, item.reps)
+            u[rows] = power @ u[rows]
         else:
-            apply_gate(u, item, row_cache)
+            apply_gate(u, item, walk.row_cache)
+
+
+def _body_block(body: list, walk: _Walk):
+    """(S, the body's block on S), S as a slice when it is a contiguous range."""
+    found = walk.blocks.get(id(body))
+    if found is None:
+        rows = np.flatnonzero(_support(body, walk))
+        w = np.zeros((walk.dim, rows.size), dtype=complex)
+        w[rows, np.arange(rows.size)] = 1
+        _apply(body, w, walk)
+        block = w[rows]
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        found = walk.blocks[id(body)] = rows, block
+    return found
+
+
+def _support(items: list, walk: _Walk) -> np.ndarray:
+    """Mask of the rows any gate in items touches, through lists and loops."""
+    mask = walk.supports.get(id(items))
+    if mask is None:
+        mask = walk.supports[id(items)] = np.zeros(walk.dim, dtype=bool)
+        for item in items:
+            if isinstance(item, list):
+                mask |= _support(item, walk)
+            elif isinstance(item, Loop):
+                mask |= _support(item.body, walk)
+            elif item.kind == "PHAS":
+                mask[_touched_rows(item, walk.dim, walk.row_cache)] = True
+            else:
+                lo, hi = _touched_rows(item, walk.dim, walk.row_cache)
+                mask[lo] = mask[hi] = True
+    return mask
 
 
 def frobenius_distance(u: np.ndarray, v: np.ndarray) -> float:

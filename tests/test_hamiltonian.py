@@ -11,6 +11,7 @@ from nandfruit import (
     assemble_fruit,
     build_line_hamiltonian,
     build_tree_hamiltonian,
+    compile_fruit,
     gray_code,
     num_qubits_required,
     parse_bands,
@@ -310,3 +311,20 @@ class TestSpecValidation:
         assert x.x == [False, True, True, False]
         with pytest.raises(InputError, match="door"):
             make_spec(door=8).resolve()
+
+    def test_resolve_validates_once_until_a_field_changes(self, monkeypatch):
+        calls = []
+        validate = FruitSpec.validate
+        monkeypatch.setattr(FruitSpec, "validate",
+                            lambda spec: calls.append(spec) or validate(spec))
+        spec = make_spec()
+        assert spec.resolve() is spec.resolve()
+        assert len(calls) == 1
+        spec.door = 8
+        for call in (FruitSpec.resolve, compile_fruit, assemble_fruit):
+            with pytest.raises(InputError, match="door"):
+                call(spec)
+        assert len(calls) == 4
+        spec.door = 2
+        assert spec.resolve()[0] == FruitLayout.from_counts(3, 3)
+        assert len(calls) == 5

@@ -1,12 +1,13 @@
 """Property tests over small specs: English round trips, op counts and the
 unitary of the written file; the merged-ladder rotations of one matching,
 and its rotations merged into one ROTX per control cube, against their
-dense exponential; the exact components (two-state rotation,
-shift, glue, oracle, padding) against their closed forms, global phase
-included; product formulas with the edge stamps fused at their seams
-against the unfused ones; the tree compiled in the frame of tree_label
-against the heap-order formula; the dense error against the meta trot
-count; and the command line, which ends every argv in a return code."""
+dense exponential; the loop-aware gate product against the flat one; the
+exact components (two-state rotation, shift, glue, oracle, padding) against
+their closed forms, global phase included; product formulas with the edge
+stamps fused at their seams against the unfused ones; the tree compiled in
+the frame of tree_label against the heap-order formula; the dense error
+against the meta trot count; and the command line, which ends every argv in
+a return code."""
 
 import contextlib
 import dataclasses
@@ -47,6 +48,8 @@ from nandfruit import (
 from nandfruit.cli import run
 from nandfruit.compilers import _at_time, _matching_plan, line_emitters, tree_emitters
 from nandfruit.hamiltonian import TREE_ORDER, tree_factors
+from nandfruit.seo import GATE_KINDS
+from tests.test_verify import flat_unitary
 
 
 @st.composite
@@ -101,6 +104,54 @@ def test_written_file_has_the_compiled_unitary(spec):
         parsed = parse_english(path)
     assert frobenius_distance(program_unitary(program),
                               program_unitary(parsed)) <= 1e-12
+
+
+@st.composite
+def looped_programs(draw):
+    """Programs of 2-5 qubits with loops nested up to three deep: loop bodies
+    shared by loops of different reps, bodies whose gates all carry F
+    controls on the qubits above some level (so they stay in a low range of
+    rows, as a compiled block does), bodies of scattered rows, empty bodies,
+    and PHAS with and without its inert target."""
+    n = draw(st.integers(2, 5))
+    bodies = []
+
+    def gate(low):  # on the qubits below low, with F controls above it
+        kind = draw(st.sampled_from(GATE_KINDS))
+        target = draw(st.integers(0, low - 1))
+        if kind == "PHAS" and draw(st.booleans()):
+            target = None
+        others = [q for q in range(low) if q != target]
+        chosen = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        controls = tuple((q, draw(st.booleans())) for q in chosen)
+        controls += tuple((q, False) for q in range(low, n))
+        angle = None if kind == "SIGX" else draw(st.floats(-3.0, 3.0))
+        return Gate(kind, target, angle, controls)
+
+    def items(depth, low):
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            choice = draw(st.sampled_from(["gate", "loop", "list"] if depth < 3 else ["gate"]))
+            if choice == "gate":
+                out.append(gate(low))
+            elif choice == "list":
+                out.append(items(depth + 1, low))
+            elif bodies and draw(st.booleans()):
+                out.append(Loop(draw(st.integers(1, 4)), draw(st.sampled_from(bodies))))
+            else:
+                body = items(depth + 1, draw(st.integers(1, low)))
+                bodies.append(body)
+                out.append(Loop(draw(st.integers(1, 4)), body))
+        return out
+
+    return SeoProgram(n, items(0, n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(program=looped_programs())
+def test_loop_aware_product_is_the_flat_product(program):
+    program.validate()
+    assert frobenius_distance(program_unitary(program), flat_unitary(program)) <= 1e-12
 
 
 @st.composite

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nandfruit import (
     FruitSpec,
@@ -56,6 +57,22 @@ class TestExpi:
         assert frobenius_distance(
             expi_hermitian(h), expi_hermitian(h.to_dense())
         ) == 0
+
+    def test_isolated_zero_states_are_exactly_one(self):
+        # states 1, 4 and 6 have an all-zero row and column; state 3 has
+        # only a diagonal entry, so it is live
+        rng = np.random.default_rng(2)
+        h = rng.normal(size=(8, 8))
+        h = h + h.T
+        dead = [1, 4, 6]
+        h[dead, :] = h[:, dead] = 0
+        h[3, :] = h[:, 3] = 0
+        h[3, 3] = 0.7
+        u = expi_hermitian(h)
+        assert frobenius_distance(u, expm(1j * h)) <= 1e-12
+        assert np.array_equal(u[dead][:, dead], np.eye(3))
+        live = [0, 2, 3, 5, 7]
+        assert not u[dead][:, live].any() and not u[live][:, dead].any()
 
 
 class TestProgramUnitary:
@@ -159,6 +176,20 @@ class TestLoopAwareProduct:
             Loop(3, body), Gate("ROTY", 1, 0.2), Loop(2, body),
         ])
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
+
+    @pytest.mark.parametrize("controls,support", [
+        (((3, False), (2, False)), list(range(4))),
+        (((1, True),), [2, 3, 6, 7, 10, 11, 14, 15]),
+    ], ids=["contiguous", "strided"])
+    def test_identity_outside_a_lone_loops_support(self, controls, support):
+        body = [Gate("ROTX", 0, 0.3, controls), Gate("SIGX", 0, None, controls),
+                Gate("PHAS", 0, -0.8, controls)]
+        prog = SeoProgram(4, [Loop(3, body)])
+        u = program_unitary(prog)
+        outside = np.setdiff1d(np.arange(16), support)
+        assert np.array_equal(u[outside], np.eye(16)[outside])
+        assert np.array_equal(u[:, outside], np.eye(16)[:, outside])
+        assert frobenius_distance(u, flat_unitary(prog)) <= 1e-12
 
     def test_empty_loop_body(self):
         prog = SeoProgram(2, [
