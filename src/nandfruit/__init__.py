@@ -39,6 +39,7 @@ from .seo import (
     SeoProgram,
     SeoSyntaxError,
     count_elementary_ops,
+    count_english_lines,
     expand,
     parse_english,
     write_english,
@@ -60,7 +61,8 @@ __all__ = [
     "build_line_hamiltonian", "build_tree_hamiltonian", "compile_fruit",
     "compile_glue", "compile_line", "compile_oracle", "compile_shift",
     "compile_tree", "conjugate_by_shift", "count_elementary_ops",
-    "expand", "expi_hermitian", "frobenius_distance", "gray_code",
+    "count_english_lines", "expand", "expi_hermitian", "frobenius_distance",
+    "gray_code",
     "num_qubits_required", "pad_controls", "parse_bands", "parse_english",
     "program_unitary", "spectral_norm", "suzuki", "trotterize",
     "two_state_rotation", "verify_compile", "write_english", "write_log",

@@ -14,6 +14,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .hamiltonian import (
+    MAX_ENGLISH_LINES,
     TREE_ORDER,
     FruitLayout,
     FruitSpec,
@@ -22,11 +23,17 @@ from .hamiltonian import (
     glue_edges,
     line_factors,
     oracle_edges,
-    parse_bands,
     tree_factors,
     tree_label,
 )
-from .seo import CompileReport, Gate, Loop, SeoProgram, count_elementary_ops
+from .seo import (
+    CompileReport,
+    Gate,
+    Loop,
+    SeoProgram,
+    count_elementary_ops,
+    count_english_lines,
+)
 
 
 def _rotation_parts(a: int, b: int, num_qubits: int):
@@ -247,29 +254,6 @@ def trotterize(order: int, emit_a: Callable[[float], list],
     return body if n_trots == 1 else [Loop(n_trots, body)]
 
 
-def _plan_shape(edges: list[tuple[int, int]], num_qubits: int) -> tuple[list, tuple]:
-    """A matching plan as integers, before its gates are made: per (pivot,
-    ladder mask) group in order, the (control, targets) of the CNOTs that
-    undo the ladder before it, its pivot, the targets of its own ladder and
-    its merged control cubes; then the (control, targets) of the CNOTs that
-    undo the last ladder.  _matching_plan makes its gates and
-    english_line_bound counts them."""
-    groups: dict[tuple[int, int], set] = {}
-    for a, b in edges:
-        pivot, mask, cube = _rotation_parts(a, b, num_qubits)
-        groups.setdefault((pivot, mask), set()).add(cube)
-    steps = []
-    pivot, mask = None, 0
-    for (new_pivot, new_mask), cubes in sorted(groups.items()):
-        undo, do = mask, new_mask
-        if new_pivot == pivot:
-            undo, do = mask & ~new_mask, new_mask & ~mask
-        steps.append(((pivot, _bits(undo)[::-1]), new_pivot, _bits(do),
-                      _merge_cubes(cubes, num_qubits)))
-        pivot, mask = new_pivot, new_mask
-    return steps, (pivot, _bits(mask)[::-1])
-
-
 def _matching_plan(
     edges: list[tuple[int, int]], num_qubits: int, block_qubits: int | None = None
 ) -> tuple[list, list]:
@@ -290,10 +274,10 @@ def _matching_plan(
     by (pivot, ladder mask); between two on one pivot only the symmetric
     difference of their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^
     L2) R2 L2, exact because CNOTs from one control commute and are
-    self-inverse.  The shape of the plan (_plan_shape) is the block's own;
-    each gate then gets an F control on every qubit above the block, which
-    no merge can drop.  compile_fruit builds one plan per matching per
-    compile, so its CNOT gates are shared by every time.
+    self-inverse.  The ladders and cubes are the block's own; each gate
+    then gets an F control on every qubit above the block, which no merge
+    can drop.  compile_fruit builds one plan per matching per compile, so
+    its CNOT gates are shared by every time.
     """
     if block_qubits is None:
         block_qubits = num_qubits
@@ -301,16 +285,25 @@ def _matching_plan(
         raise ValueError(f"a {block_qubits}-qubit block does not fit a "
                          f"{num_qubits}-qubit register")
     pads = tuple((q, False) for q in range(block_qubits, num_qubits))
-    shape, (last, tail) = _plan_shape(edges, block_qubits)
+    groups: dict[tuple[int, int], set] = {}
+    for a, b in edges:
+        pivot, mask, cube = _rotation_parts(a, b, block_qubits)
+        groups.setdefault((pivot, mask), set()).add(cube)
     steps = []
-    for (before, undo), pivot, do, cubes in shape:
-        cnots = _ladder(before, undo, pads) + _ladder(pivot, do, pads)
-        for care, value in cubes:
+    pivot, mask = None, 0
+    for (new_pivot, new_mask), cubes in sorted(groups.items()):
+        undo, do = mask, new_mask
+        if new_pivot == pivot:
+            undo, do = mask & ~new_mask, new_mask & ~mask
+        cnots = _ladder(pivot, _bits(undo)[::-1], pads)
+        pivot, mask = new_pivot, new_mask
+        cnots += _ladder(pivot, _bits(do), pads)
+        for care, value in _merge_cubes(cubes, block_qubits):
             controls = tuple((q, bool(value >> q & 1))
                              for q in range(block_qubits) if care >> q & 1)
             steps.append((cnots, pivot, controls + pads))
             cnots = []
-    return steps, _ladder(last, tail, pads)
+    return steps, _ladder(pivot, _bits(mask)[::-1], pads)
 
 
 def _at_time(plan: tuple[list, list], theta: float) -> list:
@@ -352,12 +345,6 @@ def _chain(matchings: list, num_qubits: int,
     return _MatchingChain(plans) if plans else lambda t: []
 
 
-def _framed_tree_factors(nb_tree: int) -> list:
-    """tree_factors with every node mapped through tree_label."""
-    return [[[(tree_label(p), tree_label(c)) for p, c in edges] for edges in factor]
-            for factor in tree_factors(nb_tree)]
-
-
 def line_emitters(nb_line: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of line_factors,
     for the block on the low nb_line qubits of a num_qubits register.  Each
@@ -391,8 +378,9 @@ def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
     form one control cube, so a right-child matching is one ROTX per depth
     and a left-child one adds a ladder of one CNOT per depth.  A chain stays
     time-symmetric, all the higher-order recursion needs."""
-    return tuple(_chain(factor, num_qubits, nb_tree)
-                 for factor in _framed_tree_factors(nb_tree))
+    return tuple(_chain([[(tree_label(p), tree_label(c)) for p, c in edges]
+                         for edges in factor], num_qubits, nb_tree)
+                 for factor in tree_factors(nb_tree))
 
 
 def _tree_frame(nb_tree: int, num_qubits: int) -> list:
@@ -427,50 +415,6 @@ def compile_tree(
                                                      nt_tree) + frame)
 
 
-def english_line_bound(spec: FruitSpec) -> int:
-    """Upper bound on the lines of the English file of a spec whose fields
-    are valid, counted from the shapes of its matching plans without
-    compiling.
-
-    An order-r formula over factors A and B writes at most 5^(r/2-1) (2
-    lines(A) + lines(B)) lines, its LOOP 2 more.  Each matching counts the
-    gates of its plan, whose shape is the block's own (the F controls above
-    a block add no gate); the shifts and the two copies of the permutation
-    into the tree's frame count their gates.  It is an upper bound because
-    the line and tree formulas are counted unfused, though at orders >= 4
-    the two stamps of A's first matching meeting at each seam are written
-    as one.
-    """
-    layout = FruitLayout.from_counts(spec.nb_line, spec.nb_tree)
-    x = parse_bands(spec.bands_text, layout.ns_lvs)
-    n = layout.nb_total
-
-    def formula(order, a2b, trots):  # capped: 5**20 lines fail anyway
-        return 5 ** min(order // 2 - 1, 20) * a2b + 2 * (trots > 1)
-
-    def gates(edges, block_qubits):  # of the matching's plan at one time
-        steps, (_, tail) = _plan_shape(edges, block_qubits)
-        return sum(len(undo) + len(do) + len(cubes)
-                   for (_, undo), _, do, cubes in steps) + len(tail)
-
-    def lines(factor, block_qubits):  # a chain writes every matching but its last twice
-        counts = [gates(edges, block_qubits) for edges in factor]
-        return 2 * sum(counts) - counts[-1]
-
-    def a2b(factors, block_qubits):
-        a, b = factors
-        return 2 * lines(a, block_qubits) + lines(b, block_qubits)
-
-    line = formula(spec.r_line, a2b(line_factors(spec.nb_line), spec.nb_line),
-                   spec.nt_line)
-    into, _ = _shift_bodies(layout.tree_offset, n)
-    tree = (formula(TREE_ORDER, a2b(_framed_tree_factors(spec.nb_tree), spec.nb_tree),
-                    spec.nt_tree)
-            + 2 * (len(into) + len(_tree_frame(spec.nb_tree, spec.nb_tree))))
-    corr = gates(glue_edges(layout, spec.door), n) + gates(oracle_edges(layout, x), n)
-    return 1 + formula(spec.r_meta, 2 * (line + tree) + corr, spec.nt_meta)
-
-
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     """Compile the full evolution operator into one gate program.
 
@@ -494,6 +438,10 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     does not compare equal to the flat one parse_english reads back from
     its English file, though both write the same file and have the same
     unitary.
+
+    A spec whose English file would pass MAX_ENGLISH_LINES lines, counted
+    from the program, raises an InputError; FruitSpec.validate has already
+    refused the orders too large to compile.
     """
     layout, x = spec.resolve()
     nb_total = layout.nb_total
@@ -514,5 +462,11 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
 
     body = trotterize(spec.r_meta, bulk, corr, spec.g, spec.nt_meta)
     program = SeoProgram(nb_total, body)
+    lines = count_english_lines(program)
+    if lines > MAX_ENGLISH_LINES:
+        raise InputError(
+            f"line order {spec.r_line} and meta order {spec.r_meta} write "
+            f"{lines:,} English lines, more than the {MAX_ENGLISH_LINES:,} accepted"
+        )
     program.validate()
     return program, CompileReport(nb_total, count_elementary_ops(program))

@@ -7,6 +7,7 @@ every NAND input bit that is 1.  All blocks share one real coupling constant.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -25,11 +26,11 @@ class InputError(ValueError):
 # instead of an InputError.
 MAX_BLOCK_QUBITS = 14
 
-# Largest English file accepted, in lines: a file-size budget of about
-# 240 MB at the 44 bytes a line of a 14 + 14-qubit file.  The value is what
-# an older, looser line bound gave 14 + 14 qubits at the smallest orders, so
-# no spec admitted under it is refused.  Each +2 in an order multiplies the
-# lines by 5.
+# Largest English file accepted, in lines as compile_fruit counts them from
+# the compiled program: a file-size budget of about 240 MB at the 44 bytes a
+# line of a 14 + 14-qubit file.  The odd value is kept so that no spec an
+# earlier version accepted is refused.  Each +2 in an order multiplies the
+# lines by about 5.
 MAX_ENGLISH_LINES = 5_470_136
 
 # Largest |g| accepted.  Every rotation angle is -2 g times a product of
@@ -164,19 +165,15 @@ class FruitSpec:
                 f"coupling constant {self.g:g} exceeds {MAX_COUPLING:g} in magnitude: "
                 "larger couplings give rotation angles beyond double precision"
             )
-        if self.english_line_bound() > MAX_ENGLISH_LINES:
+        # An order-r formula writes 5^(r/2-1) order-2 steps; each meta step
+        # holds line formulas, whose steps write at least one line each, so
+        # the file has at least 5^((r_line + r_meta)/2 - 2) lines, a refusal
+        # that needs no compiling.  compile_fruit counts the lines exactly.
+        if (self.r_line + self.r_meta) // 2 - 2 > math.log(MAX_ENGLISH_LINES, 5):
             raise InputError(
-                f"line order {self.r_line} and meta order {self.r_meta} may write "
+                f"line order {self.r_line} and meta order {self.r_meta} write "
                 f"more than {MAX_ENGLISH_LINES:,} English lines, the most accepted"
             )
-
-    def english_line_bound(self) -> int:
-        """Upper bound on the lines of the English file, counted from the
-        shapes of the compiler's matching plans without compiling (see
-        compilers.english_line_bound)."""
-        from .compilers import english_line_bound  # compilers imports this module
-
-        return english_line_bound(self)
 
     def resolve(self) -> tuple[FruitLayout, NandInputs]:
         """Validate the spec, then build its layout and its NAND inputs.
@@ -301,11 +298,11 @@ def line_factors(nb_line: int) -> tuple[list, list]:
 def tree_factors(nb_tree: int) -> tuple[list, list]:
     """The two product-formula factors of the tree, each as its list of
     matchings: the edges below even-depth parents and those below odd-depth
-    ones, each split into its left-child and its right-child matching."""
-    edges = tree_edges(nb_tree)
+    ones, each split into its left-child and its right-child matching.  The
+    parents at depth d are the heap nodes [2^d, 2^(d+1))."""
     return tuple(
-        [[(p, c) for p, c in edges
-          if (p.bit_length() - 1) % 2 == parity and c % 2 == side]
+        [[(p, 2 * p + side) for d in range(parity, nb_tree - 1, 2)
+          for p in range(2 ** d, 2 ** (d + 1))]
          for side in (0, 1)]
         for parity in (0, 1)
     )

@@ -145,18 +145,25 @@ def count_elementary_ops(program: SeoProgram) -> int:
 
     A list shared by several places is counted once.
     """
-    return _count(program.body, {})
+    return _count(program.body, {}, lambda reps, body: reps * body)
 
 
-def _count(items, counts: dict) -> int:
+def count_english_lines(program: SeoProgram) -> int:
+    """Lines of the program's English file, without writing it: the header,
+    one per gate and a LOOP and a NEXT line per loop occurrence."""
+    return 1 + _count(program.body, {}, lambda reps, body: 2 + body)
+
+
+def _count(items, counts: dict, loop) -> int:
+    """The count of items: 1 per gate, loop(reps, the body's count) per Loop."""
     total = counts.get(id(items))
     if total is None:
         total = 0
         for item in items:
             if isinstance(item, list):
-                total += _count(item, counts)
+                total += _count(item, counts, loop)
             elif isinstance(item, Loop):
-                total += item.reps * _count(item.body, counts)
+                total += loop(item.reps, _count(item.body, counts, loop))
             else:
                 total += 1
         counts[id(items)] = total

@@ -161,6 +161,24 @@ class TestRun:
         assert "English lines" in output_fields(capsys)["Message"]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("meta_order,text", [
+        ("12", "write 5,903,126 English lines"),
+        ("20", "write more than 5,470,136 English lines"),
+        ("1000000000", "write more than 5,470,136 English lines"),
+    ])
+    def test_largest_registers_refused_by_line_count(self, tmp_path, capsys,
+                                                     meta_order, text):
+        # meta order 12 is refused by the count of the compiled program,
+        # higher orders before compiling
+        start = time.perf_counter()
+        argv = ["--prefix", str(tmp_path / "big"), "--line-qubits", "14",
+                "--tree-qubits", "14", "--coupling", "0.2", "--line-order", "4",
+                "--meta-order", meta_order]
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1
+        assert text in output_fields(capsys)["Message"]
+        assert not any(tmp_path.iterdir())
+
     def test_verify_cap_too_large_for_memory(self, tmp_path, capsys):
         argv = base_args(tmp_path / "big", **{"--max-verify-qubits": "40"})
         assert run(argv) != 0

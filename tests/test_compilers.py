@@ -23,6 +23,7 @@ from nandfruit import (
     compile_tree,
     conjugate_by_shift,
     count_elementary_ops,
+    count_english_lines,
     expand,
     expi_hermitian,
     frobenius_distance,
@@ -503,6 +504,8 @@ class TestFruit:
             re.findall(r"^NEXT (\d+)$", text, re.M))
 
     def test_line_bound_covers_the_written_file(self, tmp_path):
+        # the count is exact, for the shared compiled program and for the
+        # flat one read back from its file
         path = tmp_path / "eng.txt"
         for nb_line, nb_tree, (r_line, r_meta), trots, bands in itertools.product(
             (1, 3), (2, 3), ((2, 2), (4, 2), (2, 4)), (1, 3), ("", "0,1")
@@ -510,8 +513,11 @@ class TestFruit:
             spec = make_spec(nb_line=nb_line, nb_tree=nb_tree, door=1, r_line=r_line,
                              r_meta=r_meta, nt_line=trots, nt_tree=trots,
                              nt_meta=trots, bands_text=bands)
-            write_english(compile_fruit(spec)[0], path)
-            assert len(path.read_text().splitlines()) <= spec.english_line_bound(), spec
+            program = compile_fruit(spec)[0]
+            write_english(program, path)
+            written = len(path.read_text().splitlines())
+            assert count_english_lines(program) == written, spec
+            assert count_english_lines(parse_english(path)) == written, spec
 
     def test_deterministic(self):
         p1, _ = compile_fruit(make_spec())

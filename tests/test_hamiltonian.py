@@ -12,10 +12,12 @@ from nandfruit import (
     build_line_hamiltonian,
     build_tree_hamiltonian,
     compile_fruit,
+    count_english_lines,
     gray_code,
     num_qubits_required,
     parse_bands,
 )
+from nandfruit import compilers, hamiltonian
 from nandfruit.hamiltonian import (
     MAX_COUPLING,
     MAX_ENGLISH_LINES,
@@ -276,34 +278,51 @@ class TestSpecValidation:
     @pytest.mark.parametrize("name", ["line", "meta"])
     @pytest.mark.parametrize("order", [20, 10 ** 9])
     def test_rejects_order_writing_too_many_lines(self, name, order):
+        # order 20 passes validate's order check and is refused by the
+        # exact count; order 10^9 is refused before any compiling
         start = time.perf_counter()
+        spec = make_spec(**{f"r_{name}": order})
+        refuse = FruitSpec.validate
+        if order == 20:
+            spec.validate()
+            refuse = compile_fruit
         with pytest.raises(InputError, match="English lines") as err:
-            make_spec(**{f"r_{name}": order}).validate()
+            refuse(spec)
         assert f"{name} order {order} " in str(err.value)
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("spec,bound", [
+    @pytest.mark.parametrize("spec,lines", [
         (make_spec(door=2, bands_text="0,1;3,3", nt_line=4, nt_tree=4, nt_meta=4),
-         260),
+         236),
         (make_spec(nb_line=6, nb_tree=5, door=2, bands_text="0,1;3,3;6,12",
-                   nt_line=4, nt_tree=4, nt_meta=4), 509),
+                   nt_line=4, nt_tree=4, nt_meta=4), 461),
         (make_spec(nb_line=7, nb_tree=7, door=5, bands_text="0,20;40,60",
-                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 4243),
+                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 3843),
     ], ids=["readme", "verify-7q", "compile-9q"])
-    def test_line_bound_pinned(self, spec, bound):
-        assert spec.english_line_bound() == bound
+    def test_line_bound_pinned(self, spec, lines):
+        assert count_english_lines(compile_fruit(spec)[0]) == lines
 
     def test_line_limit_is_the_largest_register_at_smallest_orders(self):
-        # the budget admits every register admitted before orders were
-        # bounded, and the largest one at line order 4 up to meta order 10
-        # (at line and meta order 4 it writes 9,446 lines); at meta order 12
-        # its bound passes 6 M
+        # the budget admits every register at the smallest orders, and the
+        # largest one at line order 4 up to meta order 10 (at line and meta
+        # order 4 it writes 9,446 lines); at meta order 12 it would write 6 M
         largest = make_spec(nb_line=14, nb_tree=14, nt_line=2, nt_tree=2, nt_meta=2)
-        assert largest.english_line_bound() <= MAX_ENGLISH_LINES
-        largest.validate()
-        make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=10).validate()
+        assert count_english_lines(compile_fruit(largest)[0]) <= MAX_ENGLISH_LINES
+        compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=10))
+        with pytest.raises(InputError, match="write 5,903,126 English lines"):
+            compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=12))
+
+    @pytest.mark.parametrize("r_line,r_meta", [(22, 2), (2, 22), (12, 12)])
+    def test_order_check_refuses_only_files_too_large(self, monkeypatch, r_line,
+                                                      r_meta):
+        # validate refuses these orders before compiling; with the budget
+        # lifted, the smallest registers write more lines than it allows
+        spec = make_spec(nb_line=1, nb_tree=2, r_line=r_line, r_meta=r_meta)
         with pytest.raises(InputError, match="English lines"):
-            make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=12).validate()
+            spec.validate()
+        for module in (hamiltonian, compilers):
+            monkeypatch.setattr(module, "MAX_ENGLISH_LINES", 10 ** 12)
+        assert count_english_lines(compile_fruit(spec)[0]) > MAX_ENGLISH_LINES
 
     def test_resolve(self):
         layout, x = make_spec(bands_text="1,2").resolve()

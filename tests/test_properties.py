@@ -34,6 +34,7 @@ from nandfruit import (
     compile_shift,
     compile_tree,
     count_elementary_ops,
+    count_english_lines,
     expi_hermitian,
     frobenius_distance,
     pad_controls,
@@ -90,7 +91,8 @@ def test_english_round_trip_and_op_count(spec):
         write_english(parsed, path)
         assert path.read_bytes() == written
     assert count_elementary_ops(parsed) == report.num_elementary_ops
-    assert len(written.splitlines()) <= spec.english_line_bound()
+    lines = len(written.splitlines())
+    assert count_english_lines(program) == count_english_lines(parsed) == lines
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
