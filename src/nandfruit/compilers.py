@@ -24,7 +24,7 @@ from .hamiltonian import (
     line_factors,
     oracle_edges,
     tree_factors,
-    tree_label,
+    tree_labels,
 )
 from .seo import (
     CompileReport,
@@ -371,31 +371,84 @@ def compile_line(
     return SeoProgram(num_qubits, trotterize(r_line, *emitters, g_eff, nt_line))
 
 
+def _tree_ladder(nb_tree: int, num_qubits: int, parity: int) -> list:
+    """The ladder of the tree factor whose parents sit at the depths of this
+    parity: one CNOT d -> d+1 per such depth d, under F controls on every
+    qubit above the block.  In the frame of tree_label it is the one CNOT
+    each left-child rotation from depth d takes.  Its CNOTs act on disjoint
+    pairs, so they commute, and it is its own inverse."""
+    pads = tuple((q, False) for q in range(nb_tree, num_qubits))
+    return [gate for d in range(parity, nb_tree - 1, 2)
+            for gate in _ladder(d, [d + 1], pads)]
+
+
+def _tree_chains(nb_tree: int, num_qubits: int) -> list:
+    """Per factor F of tree_factors, the chain over its matchings in the
+    frame of tree_label with F's ladder Λ_F (_tree_ladder) hoisted out, for
+    the block on the low nb_tree qubits of a num_qubits register; an empty
+    factor emits nothing.
+
+    In that frame the edges of one depth and side form one control cube, so
+    a right-child matching R_F is one ROTX per depth, and the left-child
+    one is Λ_F X_F Λ_F, X_F its ROTX gates.  Λ_F commutes with the ROTX
+    gates of X_F at other depths (disjoint control subspaces, or bits they
+    ignore) and with every gate of R_F (at its own depth both act as
+    functions of X on qubit d+1 under control d), so the chain L R L ... R
+    L of F is Λ_F (X R X ... R X) Λ_F exactly, and this is the chain over
+    X_F and R_F.  It runs in F's frame, where Λ_F has been applied."""
+    labels = tree_labels(nb_tree)
+    chains = []
+    for factor in tree_factors(nb_tree):
+        left, right = ([(labels[p], labels[c]) for p, c in edges] for edges in factor)
+        if not left:
+            chains.append(lambda t: [])
+            continue
+        steps, _ = _matching_plan(left, num_qubits, nb_tree)
+        rotations = [([], pivot, controls) for _, pivot, controls in steps], []
+        chains.append(_MatchingChain([rotations,
+                                      _matching_plan(right, num_qubits, nb_tree)]))
+    return chains
+
+
 def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the chains over the two factors of tree_factors in
     the frame of tree_label, for the block on the low nb_tree qubits of a
-    num_qubits register.  In that frame the edges of one depth and side
-    form one control cube, so a right-child matching is one ROTX per depth
-    and a left-child one adds a ladder of one CNOT per depth.  A chain stays
-    time-symmetric, all the higher-order recursion needs."""
-    return tuple(_chain([[(tree_label(p), tree_label(c)) for p, c in edges]
-                         for edges in factor], num_qubits, nb_tree)
-                 for factor in tree_factors(nb_tree))
+    num_qubits register, both in the frame of the first factor A, where A's
+    ladder Λ_A has been applied (_tree_chains): a formula over them runs
+    between two copies of Λ_A (_tree_frame).  emit_a is A's chain there.
+    emit_b moves into the frame of B, runs B's chain and moves back: Λ_A,
+    Λ_B, the chain, Λ_B, Λ_A, so each ladder is paid once per run of
+    stamps of its factor, not once per stamp.  Both stay time-symmetric,
+    all the higher-order recursion needs."""
+    emit_a, chain_b = _tree_chains(nb_tree, num_qubits)
+    enter = (_tree_ladder(nb_tree, num_qubits, 0)
+             + _tree_ladder(nb_tree, num_qubits, 1))
+    leave = enter[::-1]
+
+    def emit_b(t: float) -> list:
+        body = chain_b(t)
+        return [enter, body, leave] if body else []
+
+    return emit_a, emit_b
 
 
-def _tree_frame(nb_tree: int, num_qubits: int) -> list:
-    """The permutation from heap order into the frame of tree_label, for the
-    block on the low nb_tree qubits of a num_qubits register; it is its own
-    inverse, so it also maps back.  At each depth d >= 2 it reverses the low
-    d bits, as one swap of bits i and d-1-i per i < d/2, three CNOTs each,
-    under the controls qubit d set and every qubit above it clear."""
-    body = []
+def _tree_frame(nb_tree: int, num_qubits: int) -> tuple[list, list]:
+    """The gates into the frame the tree formula runs in, and back out, for
+    the block on the low nb_tree qubits of a num_qubits register.  In: the
+    permutation from heap order into the frame of tree_label, then the
+    first factor's ladder (tree_emitters).  The permutation reverses the low
+    d bits at each depth d >= 2, as one swap of bits i and d-1-i per i <
+    d/2, three CNOTs each, under the controls qubit d set and every qubit
+    above it clear.  Out is in reversed, exactly, since every gate of it is
+    a self-inverse permutation."""
+    into = []
     for d in range(2, nb_tree):
         depth = ((d, True),) + tuple((q, False) for q in range(d + 1, num_qubits))
         for i in range(d // 2):
             there, back = _ladder(i, [d - 1 - i], depth), _ladder(d - 1 - i, [i], depth)
-            body += there + back + there
-    return body
+            into += there + back + there
+    into += _tree_ladder(nb_tree, num_qubits, 0)
+    return into, into[::-1]
 
 
 def compile_tree(
@@ -405,14 +458,14 @@ def compile_tree(
 
     Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
     num_qubits register (nb_tree if None), as pad_controls would embed it.
-    Inside, the formula runs in the frame of tree_label, between two copies
-    of the permutation into that frame and back.
+    Inside, the formula runs in the frame of tree_emitters, between the
+    gates into that frame and back (_tree_frame).
     """
     num_qubits = layout.nb_tree if num_qubits is None else num_qubits
     emitters = tree_emitters(layout.nb_tree, num_qubits)
-    frame = _tree_frame(layout.nb_tree, num_qubits)
-    return SeoProgram(num_qubits, frame + trotterize(TREE_ORDER, *emitters, g_eff,
-                                                     nt_tree) + frame)
+    into, out = _tree_frame(layout.nb_tree, num_qubits)
+    return SeoProgram(num_qubits, into + trotterize(TREE_ORDER, *emitters, g_eff,
+                                                    nt_tree) + out)
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
@@ -429,8 +482,8 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     Each piece is built once per call: the line and tree emitters (so each
     matching's plan, embedding included, is built once per compile), the
     shift bodies into and out of the tree offset, each joined with the
-    permutation into and out of the tree's frame, and the glue and oracle
-    plans; a factor at a time only stamps angles onto them.  Repeated
+    gates into and out of the tree's frame (_tree_frame), and the glue and
+    oracle plans; a factor at a time only stamps angles onto them.  Repeated
     factors and half steps are shared by the product-formula recursion,
     which builds each sub-formula once, so the program holds the same Gate,
     Loop and list objects in many places; treat it as immutable.  Since
@@ -448,8 +501,8 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     line = line_emitters(layout.nb_line, nb_total)
     tree = tree_emitters(layout.nb_tree, nb_total)
     into, out = _shift_bodies(layout.tree_offset, nb_total)
-    frame = _tree_frame(layout.nb_tree, nb_total)
-    shift_in, shift_out = into + frame, frame + out
+    enter, leave = _tree_frame(layout.nb_tree, nb_total)
+    shift_in, shift_out = into + enter, leave + out
     glue = _matching_plan(glue_edges(layout, spec.door), nb_total)
     oracle = _matching_plan(oracle_edges(layout, x), nb_total)
 

@@ -20,14 +20,14 @@ class InputError(ValueError):
 
 # Largest line or tree register accepted.  Measured at the smallest trots and
 # orders (Intel Xeon, single-threaded): a 14-qubit line plus a 14-qubit tree
-# compiles in 0.17 s and writes its 1,777-op English file in 2 ms at 33 MB
+# compiles in 0.14 s and writes its 1,377-op English file in 2 ms at 33 MB
 # peak RSS, and one more qubit in each block roughly doubles the time.
 # Without a bound, a 40-qubit line ends in a MemoryError inside gray_code
 # instead of an InputError.
 MAX_BLOCK_QUBITS = 14
 
 # Largest English file accepted, in lines as compile_fruit counts them from
-# the compiled program: a file-size budget of about 240 MB at the 44 bytes a
+# the compiled program: a file-size budget of about 270 MB at the 50 bytes a
 # line of a 14 + 14-qubit file.  The odd value is kept so that no spec an
 # earlier version accepted is refused.  Each +2 in an order multiplies the
 # lines by about 5.
@@ -320,6 +320,19 @@ def tree_label(j: int) -> int:
         return j
     path = format(j, "b")[1:]  # the steps from the root, first step first
     return 1 << len(path) | int(path[::-1], 2)
+
+
+def tree_labels(nb_tree: int) -> list[int]:
+    """tree_label(j) for every heap node j of an nb_tree-qubit tree, built
+    depth by depth from the parents': child 2p+s of a parent p at depth d
+    keeps p's path below bit d, stores its own step s at bit d and its
+    depth's leading one at bit d+1, so its label is (label(p) ^ 2^d) |
+    2^(d+1) | s 2^d."""
+    labels = [0, 1]
+    for d in range(nb_tree - 1):
+        labels += [labels[p] ^ 1 << d | 2 << d | s << d
+                   for p in range(1 << d, 2 << d) for s in (0, 1)]
+    return labels
 
 
 def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:

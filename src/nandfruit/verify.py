@@ -119,9 +119,12 @@ def program_unitary(program: SeoProgram) -> np.ndarray:
     body is multiplied out once, on the columns S of the identity, and only
     its |S| x |S| block on S is kept.  The block is raised to the rep count
     once per distinct (body, reps) and applied to the rows S of the running
-    product, through a basic slice when S is a contiguous range.  S is read
-    from the gates, so any program works, not only a compiled one.  A list
-    item is applied in place, gate by gate; it gets no matrix of its own.
+    product, through a basic slice when S is a contiguous range; while that
+    product is still the identity, the power is copied into its block on S
+    instead, the same numbers without the product (every compiled program
+    is one top-level LOOP).  S is read from the gates, so any program works,
+    not only a compiled one.  A list item is applied in place, gate by gate;
+    it gets no matrix of its own.
 
     The walk holds one matrix per loop-nesting level (dim x dim at the top,
     dim x |S| inside a body), one |S|^2 block per distinct body and one
@@ -129,7 +132,7 @@ def program_unitary(program: SeoProgram) -> np.ndarray:
     """
     dim = 2 ** program.num_qubits
     u = np.eye(dim, dtype=complex)
-    _apply(program.body, u, _Walk(dim))
+    _apply(program.body, u, _Walk(dim), identity=True)
     return u
 
 
@@ -148,19 +151,27 @@ class _Walk:
 # The walk recurses through these module-level functions, not through nested
 # closures: a closure that calls itself is a reference cycle, which would keep
 # every body block alive until the garbage collector next runs.
-def _apply(items, u: np.ndarray, walk: _Walk) -> None:
+def _apply(items, u: np.ndarray, walk: _Walk, identity: bool = False) -> bool:
+    """Left-multiply u in place by items; identity says u is the identity
+    matrix, and the result whether it still is."""
     for item in items:
         if isinstance(item, list):
-            _apply(item, u, walk)
-        elif isinstance(item, Loop):
+            identity = _apply(item, u, walk, identity)
+            continue
+        if isinstance(item, Loop):
             rows, block = _body_block(item.body, walk)
             key = (id(item.body), item.reps)
             power = walk.powers.get(key)
             if power is None:
                 power = walk.powers[key] = np.linalg.matrix_power(block, item.reps)
-            u[rows] = power @ u[rows]
+            if identity:  # power @ u[rows] would read back power
+                u[(rows, rows) if isinstance(rows, slice) else np.ix_(rows, rows)] = power
+            else:
+                u[rows] = power @ u[rows]
         else:
             apply_gate(u, item, walk.row_cache)
+        identity = False
+    return identity
 
 
 def _body_block(body: list, walk: _Walk):

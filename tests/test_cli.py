@@ -162,13 +162,13 @@ class TestRun:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("meta_order,text", [
-        ("12", "write 5,903,126 English lines"),
+        ("14", "write 23,265,626 English lines"),
         ("20", "write more than 5,470,136 English lines"),
         ("1000000000", "write more than 5,470,136 English lines"),
     ])
     def test_largest_registers_refused_by_line_count(self, tmp_path, capsys,
                                                      meta_order, text):
-        # meta order 12 is refused by the count of the compiled program,
+        # meta order 14 is refused by the count of the compiled program,
         # higher orders before compiling
         start = time.perf_counter()
         argv = ["--prefix", str(tmp_path / "big"), "--line-qubits", "14",

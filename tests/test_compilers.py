@@ -408,26 +408,40 @@ class TestTree:
         assert merged(lambda j: j) == 448
         assert merged(tree_label) == 6 * 2 + 2 * 6
         # as the product formula uses them: A(t) + B(t) with a symmetric chain
-        # each, the left-child matching twice
+        # each, the left-child matching twice, its ladder hoisted out: A runs
+        # in its own frame, B moves into its frame and back, one CNOT per
+        # depth each way (3 + 3 + 3 ROTX each, plus 2 x 6 CNOTs)
         emit_a, emit_b = tree_emitters(7, 7)
         sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
-        assert count_elementary_ops(sweep) == 42
+        assert count_elementary_ops(sweep) == 30
+
+    @pytest.mark.parametrize("nb,ops", [(5, 122), (7, 183)])
+    def test_loop_body_gate_count(self, nb, ops):
+        # the order-4 formula that each tree trot repeats
+        body = suzuki(4, 0.1, *tree_emitters(nb, nb))
+        assert count_elementary_ops(SeoProgram(nb, body)) == ops
 
     def test_chain_half_steps_are_one_list(self):
-        # each depth class is the order-2 split of its left-child matching
-        # and its right-child matching: both half steps are one list.  In a
-        # fused order-4 formula the half steps of each order-2 sub-formula
-        # lose their outer edge stamps to the seams; what is left of them,
-        # core then edge and edge then core, is one core list and one edge
-        # list again
-        def rotations(edges, t):  # in a 6-qubit register
-            return _at_time(_matching_plan(edges, 6, 5), t)
+        # each depth class is the order-2 split of its left-child matching,
+        # its ladder hoisted out, and its right-child matching: both half
+        # steps are one list.  B's chain runs between the one list of ladder
+        # CNOTs into its frame and the same reversed.  In a fused order-4
+        # formula the half steps of each order-2 sub-formula lose their
+        # outer edge stamps to the seams; what is left of them, core then
+        # edge and edge then core, is one core list and one edge list again
+        def rotations(edges, t):  # in a 6-qubit register, ladders left out
+            return [gate for gate in _at_time(_matching_plan(edges, 6, 5), t)
+                    if gate.kind == "ROTX"]
 
         factors = [[[(tree_label(p), tree_label(c)) for p, c in edges]
                     for edges in factor] for factor in tree_factors(5)]
-        emitters = tree_emitters(5, 6)
-        for (left, right), emit in zip(factors, emitters):
-            body = emit(0.3)
+        emit_a, emit_b = emitters = tree_emitters(5, 6)
+        enter, chain_b, leave = emit_b(0.3)
+        assert enter == [Gate("SIGX", target=d + 1, controls=((d, True), (5, False)))
+                         for d in (0, 2, 1, 3)]
+        assert leave == enter[::-1]
+        assert emit_b(0.1)[0] is enter
+        for (left, right), body in zip(factors, (emit_a(0.3), chain_b)):
             assert len(body) == 3
             assert body[0] is body[2]
             assert body[0] == rotations(left, 0.15)
@@ -587,10 +601,13 @@ def file_hashes(spec, tmp_path, relabel=True):
 # block began to be compiled in the frame of tree_label (ops 5168 -> 3936,
 # dense error 2.513340538285294e-04 -> 2.5133405382852505e-04); re-pinned
 # when the rotations of a matching that share a ladder began to share one
-# ROTX per control cube (ops 3936 -> 3228, dense error bit-identical)
+# ROTX per control cube (ops 3936 -> 3228, dense error bit-identical);
+# re-pinned when each tree factor began to run in its own frame, its CNOT
+# ladder hoisted out of its stamps (ops 3228 -> 2220, dense error
+# 2.5133405382832757e-04 -> 2.5133405382833006e-04)
 README_FILES = (
-    "614c3b13753efcaf19a4f4c68e30e21734fa3c4f20ceb190fe9821c4a2e4c6d2",
-    "824e5b3e7153a87c029baa437d1db56500c26ac4e62dc2a906e3d32ae7591e60",
+    "032649a8cd1022f3115a1ec2bf4a565d521974aeccefc3e8dde255c74b20ba88",
+    "400b4461e1a24f4788118973b274bdfc8bcfbbd3849e7f761d679c2de8eaac0f",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -609,22 +626,26 @@ README_FILES = (
 # -> 21480 and 151600 -> 120800; dense errors moved by at most 9e-18, the
 # zero-coupling one stays 0.0), and again when the rotations of a matching
 # that share a ladder began to share one ROTX per control cube (ops 19680 ->
-# 16140, 21480 -> 16180 and 120800 -> 90300; dense errors bit-identical)
+# 16140, 21480 -> 16180 and 120800 -> 90300; dense errors bit-identical),
+# and again when each tree factor began to run in its own frame, its CNOT
+# ladder hoisted out of its stamps (ops 16140 -> 11100, 16180 -> 11140 and
+# 90300 -> 65100; dense errors moved by at most 1.1e-17, the zero-coupling
+# one stays 0.0)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "e40b63d6a1253cf5728bcb270c4d4fc371eac834480ebb87b511acf5eb9db047",
-        "dcc64a52a96dff2218fbd585a1adb1ffc2e73e01f8d6d804ad40ca4a9b35f6b4",
+        "94215a2fc24c0f66db7003dc5c93f9e981c39bfb22ccb2a947fa1b8952529ebe",
+        "1e20a040bb6e3ce254e958398cf4c91a00be982011ade97bcf4b4aefb9b67647",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "e7ebbaf616377bd3225de26a8748f96e4b8789b41ce5ff854a3624d27443ae9e",
-        "702ac6fe4013b03f5769018dbbf692cdf1c21e09a7c87709dfd42a337f1978ea",
+        "6448f6368c6110ab477b31582533b3998df36b100012f51c19607416c84cf42f",
+        "f4a7b3061d9dd899a6cf6cdd499240c5940ac6464ed9b26bc7ae5a2dcba5f646",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "0a01d82a64b60e9d7fcc96e1fcf4e261050b4f48a7636c586b65dead69051424",
-        "b7b5598eab91c7d79c584f9800cd9717ed5036b68924c4b16f0ef6e2b8d4fad5",
+        "0c81f4c97dd81030d76eb352d61ca704969ff65b21680740a61fe9e955cf5c42",
+        "cd01aa65611df03999fe3622da51767534006c401b5ad3b94c0e09168b5df499",
     ),
 }
 

@@ -26,6 +26,7 @@ from nandfruit.hamiltonian import (
     tree_edges,
     tree_factors,
     tree_label,
+    tree_labels,
 )
 
 
@@ -130,6 +131,11 @@ class TestTreeHamiltonian:
             d = p.bit_length() - 1
             flip = 1 << d + 1 if c % 2 else 3 << d
             assert tree_label(p) ^ tree_label(c) == flip, (p, c)
+
+    @pytest.mark.parametrize("nb", range(1, 15))
+    def test_tree_labels_table_is_tree_label(self, nb):
+        # built depth by depth from the parents' labels, one node at a time
+        assert tree_labels(nb) == [tree_label(j) for j in range(2 ** nb)]
 
 
 class TestParseBands:
@@ -293,24 +299,26 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("spec,lines", [
         (make_spec(door=2, bands_text="0,1;3,3", nt_line=4, nt_tree=4, nt_meta=4),
-         236),
+         176),
         (make_spec(nb_line=6, nb_tree=5, door=2, bands_text="0,1;3,3;6,12",
-                   nt_line=4, nt_tree=4, nt_meta=4), 461),
+                   nt_line=4, nt_tree=4, nt_meta=4), 341),
         (make_spec(nb_line=7, nb_tree=7, door=5, bands_text="0,20;40,60",
-                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 3843),
+                   nt_line=4, r_line=4, nt_tree=4, nt_meta=4, r_meta=4), 2943),
     ], ids=["readme", "verify-7q", "compile-9q"])
     def test_line_bound_pinned(self, spec, lines):
         assert count_english_lines(compile_fruit(spec)[0]) == lines
 
     def test_line_limit_is_the_largest_register_at_smallest_orders(self):
         # the budget admits every register at the smallest orders, and the
-        # largest one at line order 4 up to meta order 10 (at line and meta
-        # order 4 it writes 9,446 lines); at meta order 12 it would write 6 M
+        # largest one at line order 4 up to meta order 12 (at line and meta
+        # order 4 it writes 7,446 lines, at meta order 12 4,653,126); at meta
+        # order 14 it would write 23 M
         largest = make_spec(nb_line=14, nb_tree=14, nt_line=2, nt_tree=2, nt_meta=2)
         assert count_english_lines(compile_fruit(largest)[0]) <= MAX_ENGLISH_LINES
-        compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=10))
-        with pytest.raises(InputError, match="write 5,903,126 English lines"):
-            compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=12))
+        admitted = compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=12))
+        assert count_english_lines(admitted[0]) == 4_653_126
+        with pytest.raises(InputError, match="write 23,265,626 English lines"):
+            compile_fruit(make_spec(nb_line=14, nb_tree=14, r_line=4, r_meta=14))
 
     @pytest.mark.parametrize("r_line,r_meta", [(22, 2), (2, 22), (12, 12)])
     def test_order_check_refuses_only_files_too_large(self, monkeypatch, r_line,

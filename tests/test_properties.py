@@ -4,10 +4,11 @@ and its rotations merged into one ROTX per control cube, against their
 dense exponential; the loop-aware gate product against the flat one; the
 exact components (two-state rotation, shift, glue, oracle, padding) against
 their closed forms, global phase included; product formulas with the edge
-stamps fused at their seams against the unfused ones; the tree compiled in
-the frame of tree_label against the heap-order formula; the dense error
-against the meta trot count; and the command line, which ends every argv in
-a return code."""
+stamps fused at their seams against the unfused ones; the tree factors
+with their CNOT ladders hoisted out against the chains that keep them, and
+the tree compiled in the frame of tree_label against the heap-order
+formula; the dense error against the meta trot count; and the command line,
+which ends every argv in a return code."""
 
 import contextlib
 import dataclasses
@@ -47,8 +48,16 @@ from nandfruit import (
     write_english,
 )
 from nandfruit.cli import run
-from nandfruit.compilers import _at_time, _matching_plan, line_emitters, tree_emitters
-from nandfruit.hamiltonian import TREE_ORDER, tree_factors
+from nandfruit.compilers import (
+    _at_time,
+    _chain,
+    _matching_plan,
+    _tree_chains,
+    _tree_ladder,
+    line_emitters,
+    tree_emitters,
+)
+from nandfruit.hamiltonian import TREE_ORDER, tree_factors, tree_label
 from nandfruit.seo import GATE_KINDS
 from tests.test_verify import flat_unitary
 
@@ -380,6 +389,31 @@ def apply_formula(u, items):
             row_a, row_b = u[a], u[b]
             c, s = np.cos(item[1]), 1j * np.sin(item[1])
             u[a], u[b] = c * row_a + s * row_b, s * row_a + c * row_b
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(nb=st.integers(2, 8), extra=st.integers(0, 2), parity=st.sampled_from([0, 1]),
+       t=st.floats(-2.0, 2.0))
+@example(nb=8, extra=2, parity=1, t=0.7)
+def test_hoisted_ladder_is_exact(nb, extra, parity, t):
+    # the ladder of a tree factor commutes within itself and with every gate
+    # of the factor's right-child matching, so the chain over the factor's
+    # matchings in the frame of tree_label, each left-child stamp with its
+    # ladder, is the ladder, the chain without it, and the ladder again
+    def product(gates):
+        return program_unitary(SeoProgram(m, gates))
+
+    m = nb + extra
+    ladder = _tree_ladder(nb, m, parity)
+    left, right = ([(tree_label(p), tree_label(c)) for p, c in edges]
+                   for edges in tree_factors(nb)[parity])
+    rights = _at_time(_matching_plan(right, m, nb), t) if right else []
+    for i, a in enumerate(ladder):
+        for b in ladder[i + 1:] + rights:
+            assert frobenius_distance(product([a, b]), product([b, a])) <= 1e-12
+    with_ladders = _chain([left, right], m, nb)(t)
+    hoisted = ladder + _tree_chains(nb, m)[parity](t) + ladder
+    assert frobenius_distance(product(hoisted), product(with_ladders)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

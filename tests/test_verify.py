@@ -25,6 +25,7 @@ from nandfruit import (
     write_picture,
 )
 from nandfruit.hamiltonian import SparseSymmetric
+from nandfruit.verify import _apply, _Walk
 
 
 class TestExpi:
@@ -211,6 +212,34 @@ class TestLoopAwareProduct:
         prog = parse_english(path)
         assert frobenius_distance(program_unitary(prog), flat_unitary(prog)) <= 1e-12
 
+    @pytest.mark.parametrize("items", [
+        lambda body: [Loop(3, body)],
+        lambda body: [[[Loop(2, body)], Loop(3, body)]],
+        lambda body: [Loop(3, [Loop(2, body)]), Gate("ROTY", 1, 0.2)],
+        lambda body: [Gate("ROTY", 1, 0.2), Loop(3, body)],
+    ], ids=["lone", "in-sub-lists", "nested-then-gate", "gate-then-loop"])
+    @pytest.mark.parametrize("controls", [((3, False), (2, False)), ((1, True),)],
+                             ids=["contiguous", "strided"])
+    def test_leading_loop_into_the_identity_is_bit_identical(self, items, controls):
+        # while the running product is still the identity, a loop's power is
+        # copied into it instead of multiplied onto it: the same numbers
+        body = [Gate("ROTX", 0, 0.3, controls), Gate("SIGX", 0, None, controls),
+                Gate("PHAS", 0, -0.8, controls)]
+        prog = SeoProgram(4, items(body))
+        multiplied = np.eye(16, dtype=complex)
+        _apply(prog.body, multiplied, _Walk(16))
+        assert np.array_equal(program_unitary(prog), multiplied)
+        assert frobenius_distance(multiplied, flat_unitary(prog)) <= 1e-12
+
+    def test_compiled_program_into_the_identity_is_bit_identical(self, tmp_path):
+        spec = FruitSpec("t", 3, 3, 0.2, 2, "0,1;3,3", nt_line=4, r_line=2,
+                         nt_tree=4, nt_meta=4, r_meta=4)
+        prog, _ = compile_fruit(spec)
+        write_english(prog, tmp_path / "eng.txt")
+        for program in (prog, parse_english(tmp_path / "eng.txt")):
+            multiplied = np.eye(32, dtype=complex)
+            _apply(program.body, multiplied, _Walk(32))
+            assert np.array_equal(program_unitary(program), multiplied)
 
     def test_cli_walkers_leave_no_reference_cycle(self, tmp_path):
         # a cycle would keep the program, its text and the body products
