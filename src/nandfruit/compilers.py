@@ -1,5 +1,6 @@
 """Gate-sequence writers: exact two-state rotations, shift permutations,
-product-formula compilers for the line and tree blocks, the Suzuki/Trotter
+product-formula compilers for the line and tree blocks (the tree in a Walsh
+frame where each of its two factors is one matching), the Suzuki/Trotter
 engine, block embedding via projector padding and state shifting, and the
 top-level compiler for the full evolution operator.
 
@@ -10,11 +11,12 @@ are not allowed anywhere.
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from typing import Callable, Iterable
 
 from .hamiltonian import (
     MAX_ENGLISH_LINES,
+    TREE_FACTOR_WEIGHT,
     TREE_ORDER,
     FruitLayout,
     FruitSpec,
@@ -24,7 +26,6 @@ from .hamiltonian import (
     line_factors,
     oracle_edges,
     tree_factors,
-    tree_labels,
 )
 from .seo import (
     CompileReport,
@@ -195,53 +196,47 @@ def suzuki(order: int, t: float, emit_a: Callable[[float], list],
     emit_a(t) and emit_b(t) return bodies realizing the two factors at
     coupling t; for orders above 2 both must be time-symmetric (emitting at
     -t inverts emitting at t).  Order 2 is the symmetric split A(t/2) B(t)
-    A(t/2), the one split of the compiler: the matching chains of the
-    emitters and the meta formula are built from it too.  Higher even
-    orders follow the fractal recursion with p = 1/(4 - 4^(1/(order-1))).
-    The body is not flattened: each factor and each sub-formula is one
-    sub-list, built once, and a repeat is the same list again, as in
-    [half, b, half] and [outer, outer, middle, outer, outer].  So neither an
-    emitted list nor the body may be mutated.
+    A(t/2), the one split of the compiler: the meta formula is built from
+    it too.  Higher even orders follow the fractal recursion with p = 1/(4
+    - 4^(1/(order-1))).  The body is not flattened: each factor and each
+    sub-formula is one sub-list, built once, and a repeat is the same list
+    again, as in [half, b, half] and [outer, outer, middle, outer, outer].
+    So neither an emitted list nor the body may be mutated.
 
-    When emit_a is a matching chain (line_emitters, tree_emitters), whose
-    first matching, its edge, begins and ends it, the higher orders fuse
-    the two edge stamps meeting at each seam of the recursion into one,
-    exactly, since a matching's rotations commute: edge(a) edge(b) =
-    edge(a + b).  That body is [edge, inner, edge], where inner is the
-    recursion's [outer, both, outer, seam, middle, seam, outer, both, outer]
-    over sub-formulas with their end edge stamps peeled off, both = edge(2
-    h_o) and seam = edge(h_o + h_m) at the peeled edge times h_o and h_m.
+    When emit_a is one matching's exponential (_Matching: line_emitters,
+    tree_emitters), the higher orders fuse the two A stamps meeting at each
+    seam of the recursion into one, exactly, since a matching's rotations
+    commute: A(a) A(b) = A(a + b).  That body is [end, inner, end], where
+    inner is the recursion's [outer, both, outer, seam, middle, seam,
+    outer, both, outer] over sub-formulas with their end A stamps peeled
+    off, both = A(2 h_o) and seam = A(h_o + h_m) at the peeled times h_o and
+    h_m.
     """
     if order < 2 or order % 2 != 0:
         raise InputError(f"order must be even, got {order}")
-    if order == 2 or not isinstance(emit_a, _MatchingChain):
-        return _formula(order, t, emit_a, emit_b, None)[0]
-    inner, end, edge = _formula(order, t, emit_a, emit_b, emit_a)
-    if edge is None:
-        edge = _at_time(emit_a.edge, end)
-    return [edge, inner, edge]
+    if order == 2 or not isinstance(emit_a, _Matching):
+        return _formula(order, t, emit_a, emit_b, False)[0]
+    inner, h = _formula(order, t, emit_a, emit_b, True)
+    end = emit_a(h)
+    return [end, inner, end]
 
 
-def _formula(order: int, t: float, emit_a, emit_b, chain) -> tuple:
-    """suzuki's recursion, as (body, None, None) with chain None.  With chain
-    emit_a: the body with its first and last edge stamps peeled off and the
-    two edge stamps at each seam fused, the time of the peeled stamps, and
-    the peeled stamp if the body holds one too (else None)."""
+def _formula(order: int, t: float, emit_a, emit_b, fuse: bool) -> tuple:
+    """suzuki's recursion, as (body, None) unfused.  Fused: the body with
+    its first and last A stamps peeled off and the two A stamps at each
+    seam fused, and the time of the peeled stamps."""
     if order == 2:
-        if chain is None:
-            half = emit_a(t / 2)
-            return [half, emit_b(t), half], None, None
-        if chain.core is None:  # A(t/2) is edge(t/2) alone
-            return emit_b(t), t / 2, None
-        core, edge = chain.core(t / 2), _at_time(chain.edge, t / 4)
-        return [core, edge, emit_b(t), edge, core], t / 4, edge
+        if fuse:  # A(t/2) peeled off both ends
+            return emit_b(t), t / 2
+        half = emit_a(t / 2)
+        return [half, emit_b(t), half], None
     p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
-    outer, h_o, edge = _formula(order - 2, p * t, emit_a, emit_b, chain)
-    middle, h_m, _ = _formula(order - 2, (1.0 - 4.0 * p) * t, emit_a, emit_b, chain)
-    if chain is None:
-        return [outer, outer, middle, outer, outer], None, None
-    both, seam = _at_time(chain.edge, 2 * h_o), _at_time(chain.edge, h_o + h_m)
-    return [outer, both, outer, seam, middle, seam, outer, both, outer], h_o, edge
+    outer, h_o = _formula(order - 2, p * t, emit_a, emit_b, fuse)
+    middle, h_m = _formula(order - 2, (1.0 - 4.0 * p) * t, emit_a, emit_b, fuse)
+    if not fuse:
+        return [outer, outer, middle, outer, outer], None
+    both, seam = emit_a(2 * h_o), emit_a(h_o + h_m)
+    return [outer, both, outer, seam, middle, seam, outer, both, outer], h_o
 
 
 def trotterize(order: int, emit_a: Callable[[float], list],
@@ -316,43 +311,30 @@ def _at_time(plan: tuple[list, list], theta: float) -> list:
     return body + tail
 
 
-class _MatchingChain:
-    """Emitter of the time-symmetric chain over one or more matchings.
+class _Matching:
+    """Emitter of one matching's exact exponential at weight times the
+    time.  The plan is built once per compile; emitting at a time only
+    stamps the angles.  suzuki fuses the stamps of a _Matching emit_a that
+    meet at the seams of its higher orders."""
 
-    One matching emits its exact exponential edge(t); more emit the order-2
-    split of the first and the chain of the rest, edge(t/2) core(t)
-    edge(t/2), so each half step is one shared list.  edge is the first
-    matching's plan, built once per compile; emitting at a time only stamps
-    the angles.  suzuki reads edge and core to fuse the edge stamps that
-    meet at the seams of its higher orders.
-    """
-
-    def __init__(self, plans: list):
-        self.edge = plans[0]
-        self.core = _MatchingChain(plans[1:]) if len(plans) > 1 else None
+    def __init__(self, edges: list, num_qubits: int, block_qubits: int,
+                 weight: float = 1.0):
+        self.plan = _matching_plan(edges, num_qubits, block_qubits)
+        self.weight = weight
 
     def __call__(self, t: float) -> list:
-        if self.core is None:
-            return _at_time(self.edge, t)
-        return suzuki(2, t, partial(_at_time, self.edge), self.core)
-
-
-def _chain(matchings: list, num_qubits: int,
-           block_qubits: int) -> Callable[[float], list]:
-    """Emitter of the chain over the nonempty matchings; none emit nothing."""
-    plans = [_matching_plan(edges, num_qubits, block_qubits)
-             for edges in matchings if edges]
-    return _MatchingChain(plans) if plans else lambda t: []
+        return _at_time(self.plan, self.weight * t)
 
 
 def line_emitters(nb_line: int, num_qubits: int) -> tuple:
-    """(emit_a, emit_b): the chains over the two factors of line_factors,
-    for the block on the low nb_line qubits of a num_qubits register.  Each
-    factor is one matching of one-bit rotations, and they need one ROTX per
-    flipped bit: the even matching flips bit 0 on every pair, so it is one
-    ROTX with no control in the block, and the odd one flips bit j >= 1 on
-    the pairs whose bits below j read 0...01, one ROTX with j controls."""
-    return tuple(_chain(factor, num_qubits, nb_line)
+    """(emit_a, emit_b): the exponentials of the two factors of
+    line_factors, for the block on the low nb_line qubits of a num_qubits
+    register.  Each factor is one matching of one-bit rotations, and they
+    need one ROTX per flipped bit: the even matching flips bit 0 on every
+    pair, so it is one ROTX with no control in the block, and the odd one
+    flips bit j >= 1 on the pairs whose bits below j read 0...01, one ROTX
+    with j controls."""
+    return tuple(_Matching(factor, num_qubits, nb_line)
                  for factor in line_factors(nb_line))
 
 
@@ -371,84 +353,37 @@ def compile_line(
     return SeoProgram(num_qubits, trotterize(r_line, *emitters, g_eff, nt_line))
 
 
-def _tree_ladder(nb_tree: int, num_qubits: int, parity: int) -> list:
-    """The ladder of the tree factor whose parents sit at the depths of this
-    parity: one CNOT d -> d+1 per such depth d, under F controls on every
-    qubit above the block.  In the frame of tree_label it is the one CNOT
-    each left-child rotation from depth d takes.  Its CNOTs act on disjoint
-    pairs, so they commute, and it is its own inverse."""
-    pads = tuple((q, False) for q in range(nb_tree, num_qubits))
-    return [gate for d in range(parity, nb_tree - 1, 2)
-            for gate in _ladder(d, [d + 1], pads)]
-
-
-def _tree_chains(nb_tree: int, num_qubits: int) -> list:
-    """Per factor F of tree_factors, the chain over its matchings in the
-    frame of tree_label with F's ladder Λ_F (_tree_ladder) hoisted out, for
-    the block on the low nb_tree qubits of a num_qubits register; an empty
-    factor emits nothing.
-
-    In that frame the edges of one depth and side form one control cube, so
-    a right-child matching R_F is one ROTX per depth, and the left-child
-    one is Λ_F X_F Λ_F, X_F its ROTX gates.  Λ_F commutes with the ROTX
-    gates of X_F at other depths (disjoint control subspaces, or bits they
-    ignore) and with every gate of R_F (at its own depth both act as
-    functions of X on qubit d+1 under control d), so the chain L R L ... R
-    L of F is Λ_F (X R X ... R X) Λ_F exactly, and this is the chain over
-    X_F and R_F.  It runs in F's frame, where Λ_F has been applied."""
-    labels = tree_labels(nb_tree)
-    chains = []
-    for factor in tree_factors(nb_tree):
-        left, right = ([(labels[p], labels[c]) for p, c in edges] for edges in factor)
-        if not left:
-            chains.append(lambda t: [])
-            continue
-        steps, _ = _matching_plan(left, num_qubits, nb_tree)
-        rotations = [([], pivot, controls) for _, pivot, controls in steps], []
-        chains.append(_MatchingChain([rotations,
-                                      _matching_plan(right, num_qubits, nb_tree)]))
-    return chains
-
-
 def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
-    """(emit_a, emit_b): the chains over the two factors of tree_factors in
-    the frame of tree_label, for the block on the low nb_tree qubits of a
-    num_qubits register, both in the frame of the first factor A, where A's
-    ladder Λ_A has been applied (_tree_chains): a formula over them runs
-    between two copies of Λ_A (_tree_frame).  emit_a is A's chain there.
-    emit_b moves into the frame of B, runs B's chain and moves back: Λ_A,
-    Λ_B, the chain, Λ_B, Λ_A, so each ladder is paid once per run of
-    stamps of its factor, not once per stamp.  Both stay time-symmetric,
-    all the higher-order recursion needs."""
-    emit_a, chain_b = _tree_chains(nb_tree, num_qubits)
-    enter = (_tree_ladder(nb_tree, num_qubits, 0)
-             + _tree_ladder(nb_tree, num_qubits, 1))
-    leave = enter[::-1]
-
-    def emit_b(t: float) -> list:
-        body = chain_b(t)
-        return [enter, body, leave] if body else []
-
-    return emit_a, emit_b
+    """(emit_a, emit_b): the exponentials of the two factors of
+    tree_factors, for the block on the low nb_tree qubits of a num_qubits
+    register, in the Walsh frame (_tree_frame) a formula over them runs in.
+    Each factor is one matching at weight TREE_FACTOR_WEIGHT, and it needs
+    one ROTX per parent depth d of its parity: on bit d+1, under bit d set
+    and every qubit above d+1 clear."""
+    return tuple(_Matching(factor, num_qubits, nb_tree, TREE_FACTOR_WEIGHT)
+                 for factor in tree_factors(nb_tree))
 
 
 def _tree_frame(nb_tree: int, num_qubits: int) -> tuple[list, list]:
-    """The gates into the frame the tree formula runs in, and back out, for
-    the block on the low nb_tree qubits of a num_qubits register.  In: the
-    permutation from heap order into the frame of tree_label, then the
-    first factor's ladder (tree_emitters).  The permutation reverses the low
-    d bits at each depth d >= 2, as one swap of bits i and d-1-i per i <
-    d/2, three CNOTs each, under the controls qubit d set and every qubit
-    above it clear.  Out is in reversed, exactly, since every gate of it is
-    a self-inverse permutation."""
-    into = []
-    for d in range(2, nb_tree):
-        depth = ((d, True),) + tuple((q, False) for q in range(d + 1, num_qubits))
-        for i in range(d // 2):
-            there, back = _ladder(i, [d - 1 - i], depth), _ladder(d - 1 - i, [i], depth)
-            into += there + back + there
-    into += _tree_ladder(nb_tree, num_qubits, 0)
-    return into, into[::-1]
+    """The gates into the Walsh frame the tree formula runs in, and back
+    out, for the block on the low nb_tree qubits of a num_qubits register.
+    Each acts on one depth k >= 1, under the controls qubit k set and every
+    qubit above it clear.  In: the permutation P from heap order into the
+    frame of tree_label, which reverses the low k bits as one swap of bits
+    i and k-1-i per i < k/2, three CNOTs each, then the mixers W of
+    tree_factors, one ROTY(pi/2) per bit j < k.  The mixers commute with
+    each other, so out is W with negated angles, then P reversed, exact
+    since every gate of P is a self-inverse permutation."""
+    perm, mix, unmix = [], [], []
+    for k in range(1, nb_tree):
+        depth = ((k, True),) + tuple((q, False) for q in range(k + 1, num_qubits))
+        for i in range(k // 2):
+            there, back = _ladder(i, [k - 1 - i], depth), _ladder(k - 1 - i, [i], depth)
+            perm += there + back + there
+        for j in range(k):
+            mix.append(Gate("ROTY", target=j, angle=math.pi / 2, controls=depth))
+            unmix.append(Gate("ROTY", target=j, angle=-math.pi / 2, controls=depth))
+    return perm + mix, unmix + perm[::-1]
 
 
 def compile_tree(
@@ -458,8 +393,8 @@ def compile_tree(
 
     Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
     num_qubits register (nb_tree if None), as pad_controls would embed it.
-    Inside, the formula runs in the frame of tree_emitters, between the
-    gates into that frame and back (_tree_frame).
+    Inside, the formula over tree_emitters runs in the Walsh frame, between
+    the gates into that frame and back (_tree_frame).
     """
     num_qubits = layout.nb_tree if num_qubits is None else num_qubits
     emitters = tree_emitters(layout.nb_tree, num_qubits)
@@ -471,26 +406,25 @@ def compile_tree(
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     """Compile the full evolution operator into one gate program.
 
-    The bulk factor embeds the line block at offset 0 and the tree block at
-    offset ns_line (projector padding plus state shifting); the corrections
-    factor is the exact glue and oracle rotations in global indices.  The
-    two factors feed a meta product formula of order r_meta, repeated
-    nt_meta times via Trotter's trick.  Every product formula, the matching
-    chains of the tree factors included, is built from suzuki's one
-    symmetric split.
+    The bulk factor embeds the line block at offset 0 and the tree block,
+    compiled in its Walsh frame, at offset ns_line (projector padding plus
+    state shifting); the corrections factor is the exact glue and oracle
+    rotations in global indices.  The two factors feed a meta product
+    formula of order r_meta, repeated nt_meta times via Trotter's trick.
+    Every product formula is built from suzuki's one symmetric split.
 
     Each piece is built once per call: the line and tree emitters (so each
     matching's plan, embedding included, is built once per compile), the
     shift bodies into and out of the tree offset, each joined with the
-    gates into and out of the tree's frame (_tree_frame), and the glue and
-    oracle plans; a factor at a time only stamps angles onto them.  Repeated
-    factors and half steps are shared by the product-formula recursion,
-    which builds each sub-formula once, so the program holds the same Gate,
-    Loop and list objects in many places; treat it as immutable.  Since
-    factors stay sub-lists spliced in place (see SeoProgram), the program
-    does not compare equal to the flat one parse_english reads back from
-    its English file, though both write the same file and have the same
-    unitary.
+    gates into and out of the tree's Walsh frame (_tree_frame), and the
+    glue and oracle plans; a factor at a time only stamps angles onto them.
+    Repeated factors and half steps are shared by the product-formula
+    recursion, which builds each sub-formula once, so the program holds the
+    same Gate, Loop and list objects in many places; treat it as immutable.
+    Since factors stay sub-lists spliced in place (see SeoProgram), the
+    program does not compare equal to the flat one parse_english reads back
+    from its English file, though both write the same file and have the
+    same unitary.
 
     A spec whose English file would pass MAX_ENGLISH_LINES lines, counted
     from the program, raises an InputError; FruitSpec.validate has already

@@ -20,8 +20,8 @@ class InputError(ValueError):
 
 # Largest line or tree register accepted.  Measured at the smallest trots and
 # orders (Intel Xeon, single-threaded): a 14-qubit line plus a 14-qubit tree
-# compiles in 0.14 s and writes its 1,377-op English file in 2 ms at 33 MB
-# peak RSS, and one more qubit in each block roughly doubles the time.
+# compiles in about 0.1 s and writes its 1,053-op English file in 2 ms at
+# 34 MB peak RSS, and one more qubit in each block roughly doubles the time.
 # Without a bound, a 40-qubit line ends in a MemoryError inside gray_code
 # instead of an InputError.
 MAX_BLOCK_QUBITS = 14
@@ -42,6 +42,10 @@ MAX_COUPLING = 2.0 ** 52
 
 # the binary tree always gets this product-formula order
 TREE_ORDER = 4
+
+# the weight, times the coupling, of each tree factor's one matching in the
+# Walsh frame the tree block is compiled in (tree_factors)
+TREE_FACTOR_WEIGHT = math.sqrt(2)
 
 
 def gray_code(n: int) -> list[int]:
@@ -288,28 +292,38 @@ def tree_edges(nb_tree: int) -> list[tuple[int, int]]:
 
 
 def line_factors(nb_line: int) -> tuple[list, list]:
-    """The two product-formula factors of the line, each as its list of
-    matchings: the even-indexed edges and the odd-indexed ones, one
-    matching each, as alternating edges never share a state."""
+    """The two product-formula factors of the line, each one matching: the
+    even-indexed edges and the odd-indexed ones, as alternating edges never
+    share a state."""
     edges = line_edges(nb_line)
-    return [edges[0::2]], [edges[1::2]]
+    return edges[0::2], edges[1::2]
 
 
 def tree_factors(nb_tree: int) -> tuple[list, list]:
-    """The two product-formula factors of the tree, each as its list of
-    matchings: the edges below even-depth parents and those below odd-depth
-    ones, each split into its left-child and its right-child matching.  The
-    parents at depth d are the heap nodes [2^d, 2^(d+1))."""
-    return tuple(
-        [[(p, 2 * p + side) for d in range(parity, nb_tree - 1, 2)
-          for p in range(2 ** d, 2 ** (d + 1))]
-         for side in (0, 1)]
-        for parity in (0, 1)
-    )
+    """The two product-formula factors of the tree, the edges below
+    even-depth parents and those below odd-depth ones, each one matching in
+    the Walsh frame the tree block is compiled in, at TREE_FACTOR_WEIGHT
+    times the coupling.
+
+    In the frame of tree_label a depth-k node holds its path from the root
+    in its low k bits under its depth's leading one at bit k, and the two
+    children of a depth-d parent store their step, 0 or 1, at bit d of the
+    parent's path and move the leading one to bit d+1.  The Walsh frame
+    then applies ROTY(pi/2) to every path bit j < k of every depth k >= 1,
+    which takes the siblings' symmetric combination, (|0> + |1>)/sqrt 2 at
+    bit d, to |1> and leaves the antisymmetric one uncoupled, while both
+    ends of an edge get the same mixer on the parent's path bits.  So the
+    edges below the depth-d parents, the heap nodes [2^d, 2^(d+1)), become
+    the pairs (2^d | q, 3 * 2^d | q) for q < 2^d: a flip of bit d+1 under
+    bit d set, at weight sqrt 2."""
+    return tuple([(1 << d | q, 3 << d | q) for d in range(parity, nb_tree - 1, 2)
+                  for q in range(1 << d)]
+                 for parity in (0, 1))
 
 
 def tree_label(j: int) -> int:
-    """The state of heap node j in the frame the tree block is compiled in:
+    """The state of heap node j after the permutation that starts the tree
+    block's frame (the Walsh mixers of tree_factors follow it):
     2^d | rev_d(j mod 2^d) at depth d = j.bit_length() - 1, where rev_d
     reverses the low d bits, so the path from the root is stored first step
     lowest under the depth's leading one.  An edge from depth d to its right
@@ -320,19 +334,6 @@ def tree_label(j: int) -> int:
         return j
     path = format(j, "b")[1:]  # the steps from the root, first step first
     return 1 << len(path) | int(path[::-1], 2)
-
-
-def tree_labels(nb_tree: int) -> list[int]:
-    """tree_label(j) for every heap node j of an nb_tree-qubit tree, built
-    depth by depth from the parents': child 2p+s of a parent p at depth d
-    keeps p's path below bit d, stores its own step s at bit d and its
-    depth's leading one at bit d+1, so its label is (label(p) ^ 2^d) |
-    2^(d+1) | s 2^d."""
-    labels = [0, 1]
-    for d in range(nb_tree - 1):
-        labels += [labels[p] ^ 1 << d | 2 << d | s << d
-                   for p in range(1 << d, 2 << d) for s in (0, 1)]
-    return labels
 
 
 def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:

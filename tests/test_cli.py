@@ -162,7 +162,7 @@ class TestRun:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("meta_order,text", [
-        ("14", "write 23,265,626 English lines"),
+        ("14", "write 18,203,126 English lines"),
         ("20", "write more than 5,470,136 English lines"),
         ("1000000000", "write more than 5,470,136 English lines"),
     ])

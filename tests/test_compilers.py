@@ -39,14 +39,8 @@ from nandfruit import (
     write_picture,
 )
 from nandfruit import compilers
-from nandfruit.compilers import _at_time, _matching_plan, tree_emitters
-from nandfruit.hamiltonian import (
-    SparseSymmetric,
-    line_factors,
-    tree_edges,
-    tree_factors,
-    tree_label,
-)
+from nandfruit.compilers import _at_time, _matching_plan, _tree_frame, tree_emitters
+from nandfruit.hamiltonian import SparseSymmetric, line_factors, tree_edges
 from nandfruit.seo import Gate
 
 
@@ -360,7 +354,7 @@ class TestLine:
         # also carries an F control on every qubit above the block
         nb_line, num_qubits = 5, 7
         pads = [(q, False) for q in range(nb_line, num_qubits)]
-        (even,), (odd,) = line_factors(nb_line)
+        even, odd = line_factors(nb_line)
         (rotx,) = _at_time(_matching_plan(even, num_qubits, nb_line), 0.5)
         assert (rotx.kind, rotx.target) == ("ROTX", 0)
         assert sorted(rotx.controls) == pads
@@ -392,70 +386,51 @@ class TestTree:
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
     def test_sweep_gate_count_at_7_qubits(self):
-        # the four matchings of tree_factors, each emitted once: merged
-        # ladders keep 448 of 768 gates in heap order, and in the frame of
-        # tree_label, where the edges of one depth and side form one cube,
-        # one ROTX per depth and side plus two CNOTs per left-child depth
+        # one two-state rotation per edge takes 768 gates in heap order; in
+        # the Walsh frame A(t) + B(t) is one ROTX per parent depth d, on bit
+        # d+1 under bit d set and every qubit above d+1 clear.  The frame is
+        # the permutation into the frame of tree_label (27 CNOTs) and one
+        # ROTY per path bit of every depth (21), each way
         unmerged = sum(len(two_state_rotation(p, c, 0.1, 7).body)
                        for p, c in tree_edges(7))
         assert unmerged == 768
-
-        def merged(label):
-            return sum(len(_at_time(_matching_plan(
-                [(label(p), label(c)) for p, c in edges], 7), 0.1))
-                for factor in tree_factors(7) for edges in factor)
-
-        assert merged(lambda j: j) == 448
-        assert merged(tree_label) == 6 * 2 + 2 * 6
-        # as the product formula uses them: A(t) + B(t) with a symmetric chain
-        # each, the left-child matching twice, its ladder hoisted out: A runs
-        # in its own frame, B moves into its frame and back, one CNOT per
-        # depth each way (3 + 3 + 3 ROTX each, plus 2 x 6 CNOTs)
         emit_a, emit_b = tree_emitters(7, 7)
-        sweep = SeoProgram(7, emit_a(0.1) + emit_b(0.1))
-        assert count_elementary_ops(sweep) == 30
+        angle = -2.0 * (math.sqrt(2) * 0.1)
+        assert emit_a(0.1) + emit_b(0.1) == [
+            Gate("ROTX", d + 1, angle,
+                 ((d, True),) + tuple((q, False) for q in range(d + 2, 7)))
+            for d in (0, 2, 4, 1, 3, 5)]
+        into, out = _tree_frame(7, 7)
+        for frame in (into, out):
+            assert [gate.kind for gate in frame].count("SIGX") == 27
+            assert [gate.kind for gate in frame].count("ROTY") == 21
+        assert [gate.angle for gate in out if gate.angle] == [
+            -gate.angle for gate in into if gate.angle]
 
-    @pytest.mark.parametrize("nb,ops", [(5, 122), (7, 183)])
+    @pytest.mark.parametrize("nb,ops", [(5, 22), (7, 33)])
     def test_loop_body_gate_count(self, nb, ops):
-        # the order-4 formula that each tree trot repeats
+        # the order-4 formula that each tree trot repeats: six A stamps
+        # (two ends and four fused seams) and five B stamps
         body = suzuki(4, 0.1, *tree_emitters(nb, nb))
         assert count_elementary_ops(SeoProgram(nb, body)) == ops
 
-    def test_chain_half_steps_are_one_list(self):
-        # each depth class is the order-2 split of its left-child matching,
-        # its ladder hoisted out, and its right-child matching: both half
-        # steps are one list.  B's chain runs between the one list of ladder
-        # CNOTs into its frame and the same reversed.  In a fused order-4
-        # formula the half steps of each order-2 sub-formula lose their
-        # outer edge stamps to the seams; what is left of them, core then
-        # edge and edge then core, is one core list and one edge list again
-        def rotations(edges, t):  # in a 6-qubit register, ladders left out
-            return [gate for gate in _at_time(_matching_plan(edges, 6, 5), t)
-                    if gate.kind == "ROTX"]
-
-        factors = [[[(tree_label(p), tree_label(c)) for p, c in edges]
-                    for edges in factor] for factor in tree_factors(5)]
+    def test_fused_stamps_are_shared(self):
+        # a fused order-4 formula is [end, inner, end] with inner the
+        # recursion's [outer, both, outer, seam, middle, seam, outer, both,
+        # outer]: each of end, both, seam and outer is one list in each of
+        # its places
         emit_a, emit_b = emitters = tree_emitters(5, 6)
-        enter, chain_b, leave = emit_b(0.3)
-        assert enter == [Gate("SIGX", target=d + 1, controls=((d, True), (5, False)))
-                         for d in (0, 2, 1, 3)]
-        assert leave == enter[::-1]
-        assert emit_b(0.1)[0] is enter
-        for (left, right), body in zip(factors, (emit_a(0.3), chain_b)):
-            assert len(body) == 3
-            assert body[0] is body[2]
-            assert body[0] == rotations(left, 0.15)
-            assert body[1] == rotations(right, 0.3)
-        edge, inner, edge_again = suzuki(4, 0.3, *emitters)
-        assert edge is edge_again
-        outer = inner[0]
-        assert [item is sub for item, sub in zip(outer, outer[::-1])] == [
-            True, True, True, True, True]
-        core, half_edge, _, _, _ = outer
+        end, inner, end_again = suzuki(4, 0.3, *emitters)
+        assert end is end_again
+        outer, both, _, seam, middle, *_ = inner
+        assert [item is sub for item, sub in zip(inner, inner[::-1])] == [True] * 9
+        assert inner[2] is outer
         p = 1 / (4 - 4 ** (1 / 3))
-        assert half_edge is edge
-        assert edge == rotations(factors[0][0], p * 0.3 / 4)
-        assert core == rotations(factors[0][1], p * 0.3 / 2)
+        assert end == emit_a(p * 0.3 / 2)
+        assert both == emit_a(p * 0.3)
+        assert seam == emit_a(p * 0.3 / 2 + (1 - 4 * p) * 0.3 / 2)
+        assert outer == emit_b(p * 0.3)
+        assert middle == emit_b((1 - 4 * p) * 0.3)
 
     def test_zero_coupling_identity(self):
         layout = FruitLayout.from_counts(3, 3)
@@ -604,10 +579,13 @@ def file_hashes(spec, tmp_path, relabel=True):
 # ROTX per control cube (ops 3936 -> 3228, dense error bit-identical);
 # re-pinned when each tree factor began to run in its own frame, its CNOT
 # ladder hoisted out of its stamps (ops 3228 -> 2220, dense error
-# 2.5133405382832757e-04 -> 2.5133405382833006e-04)
+# 2.5133405382832757e-04 -> 2.5133405382833006e-04); re-pinned when the
+# tree began to be compiled in the Walsh frame, each factor one matching
+# (ops 2220 -> 652, dense error 2.5133405382833006e-04 ->
+# 2.513340537032833e-04)
 README_FILES = (
-    "032649a8cd1022f3115a1ec2bf4a565d521974aeccefc3e8dde255c74b20ba88",
-    "400b4461e1a24f4788118973b274bdfc8bcfbbd3849e7f761d679c2de8eaac0f",
+    "447d29b760543ef5e40409d6d64e41191157c5e437aa852438b6429b781469e8",
+    "e914b585c144c8861cb2269f5a5ec557838bea5034f5227bb26265f7f5d5eeba",
 )
 
 # SHA-256 of the English and Picture files with loop ids relabelled by first
@@ -630,22 +608,25 @@ README_FILES = (
 # and again when each tree factor began to run in its own frame, its CNOT
 # ladder hoisted out of its stamps (ops 16140 -> 11100, 16180 -> 11140 and
 # 90300 -> 65100; dense errors moved by at most 1.1e-17, the zero-coupling
+# one stays 0.0), and again when the tree began to be compiled in the Walsh
+# frame, each factor one matching (ops 11100 -> 3260, 11140 -> 3300 and
+# 65100 -> 25900; dense errors moved by at most 1.2e-14, the zero-coupling
 # one stays 0.0)
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
-        "94215a2fc24c0f66db7003dc5c93f9e981c39bfb22ccb2a947fa1b8952529ebe",
-        "1e20a040bb6e3ce254e958398cf4c91a00be982011ade97bcf4b4aefb9b67647",
+        "115ff1861b8a84170b0b00023651a14668dfe8e13b4ce2030c4140892dc9f86b",
+        "6084031ed040714e09d9dd372caf13baca406d872d9b2a0078a07c662fbf402d",
     ),
     "readme-meta4-line4": (
         dict(r_meta=4, nb_line=4),
-        "6448f6368c6110ab477b31582533b3998df36b100012f51c19607416c84cf42f",
-        "f4a7b3061d9dd899a6cf6cdd499240c5940ac6464ed9b26bc7ae5a2dcba5f646",
+        "d4ac0fb33e047780dbbf621dd1c9c3d5306569e4eeaa9a79fcecf9882439030a",
+        "37eab2bd3d1d80bdf5a22d28591aa7e2152958a83f9ce777bd85bc0e4ade16d3",
     ),
     "zero-coupling-meta6": (
         dict(g=0.0, r_line=4, r_meta=6),
-        "0c81f4c97dd81030d76eb352d61ca704969ff65b21680740a61fe9e955cf5c42",
-        "cd01aa65611df03999fe3622da51767534006c401b5ad3b94c0e09168b5df499",
+        "2bdb719e1d010ec7b7a3f08774d260e017fa6c6bd766d8e5ac5ab1eeb02e9987",
+        "1d37f15b61609336fb03ea599966155a0cb8d3c1bec0a1f874f96ab716ade5b8",
     ),
 }
 
@@ -691,14 +672,14 @@ class TestSharedBodies:
         readme_spec(r_meta=6),
     ], ids=["compile-9q", "readme-meta6"])
     def test_each_matching_plan_is_built_once_per_compile(self, spec, monkeypatch):
-        # two line matchings, four tree matchings, the glue and the oracle,
+        # two line matchings, two tree matchings, the glue and the oracle,
         # whatever the number of distinct times the meta formula has
         calls = []
         build = compilers._matching_plan
         monkeypatch.setattr(compilers, "_matching_plan",
                             lambda *args: calls.append(args) or build(*args))
         compile_fruit(spec)
-        assert len(calls) == 8
+        assert len(calls) == 6
 
     def test_no_cache_outlives_a_compile_call(self, tmp_path):
         # B has A's times on a larger register, so a cache kept between

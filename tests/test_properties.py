@@ -4,11 +4,11 @@ and its rotations merged into one ROTX per control cube, against their
 dense exponential; the loop-aware gate product against the flat one; the
 exact components (two-state rotation, shift, glue, oracle, padding) against
 their closed forms, global phase included; product formulas with the edge
-stamps fused at their seams against the unfused ones; the tree factors
-with their CNOT ladders hoisted out against the chains that keep them, and
-the tree compiled in the frame of tree_label against the heap-order
-formula; the dense error against the meta trot count; and the command line,
-which ends every argv in a return code."""
+stamps fused at their seams against the unfused ones; each tree factor
+in the Walsh frame against the exact exponential of its heap-order edges,
+and the tree compiled in that frame against the heap-order formula; the
+dense error against the meta trot count; and the command line, which ends
+every argv in a return code."""
 
 import contextlib
 import dataclasses
@@ -41,7 +41,6 @@ from nandfruit import (
     pad_controls,
     parse_english,
     program_unitary,
-    suzuki,
     trotterize,
     two_state_rotation,
     verify_compile,
@@ -50,14 +49,12 @@ from nandfruit import (
 from nandfruit.cli import run
 from nandfruit.compilers import (
     _at_time,
-    _chain,
     _matching_plan,
-    _tree_chains,
-    _tree_ladder,
+    _tree_frame,
     line_emitters,
     tree_emitters,
 )
-from nandfruit.hamiltonian import TREE_ORDER, tree_factors, tree_label
+from nandfruit.hamiltonian import TREE_ORDER, tree_edges
 from nandfruit.seo import GATE_KINDS
 from tests.test_verify import flat_unitary
 
@@ -361,59 +358,56 @@ def formulas(draw):
 @given(case=formulas())
 def test_fused_seams_are_exact(case):
     # plain callables of the same matchings take the unfused path; each of
-    # the 5^(r/2-1) - 1 seams of a step fuses two edge stamps into one
+    # the 5^(r/2-1) - 1 seams of a step fuses two A stamps into one
     n, (emit_a, emit_b), order, g, n_trots = case
     fused = SeoProgram(n, trotterize(order, emit_a, emit_b, g, n_trots))
     unfused = SeoProgram(n, trotterize(order, lambda t: emit_a(t),
                                        lambda t: emit_b(t), g, n_trots))
     assert frobenius_distance(program_unitary(fused),
                               program_unitary(unfused)) <= 1e-12
-    edge = len(_at_time(emit_a.edge, g)) if hasattr(emit_a, "edge") else 0
     seams = 5 ** (order // 2 - 1) - 1
     assert (count_elementary_ops(fused)
-            == count_elementary_ops(unfused) - n_trots * seams * edge)
+            == count_elementary_ops(unfused) - n_trots * seams * len(emit_a(g)))
 
 
-def apply_formula(u, items):
-    """u, multiplied in place from the left by a body whose items are
-    (matching, t) pairs: each the closed-form exp(i t sum(|a><b| + |b><a|))
-    over the matching, acting on rows a and b alone."""
-    for item in items:
-        if isinstance(item, Loop):
-            for _ in range(item.reps):
-                apply_formula(u, item.body)
-        elif isinstance(item, list):
-            apply_formula(u, item)
-        elif item[0]:
-            a, b = np.array(item[0]).T
-            row_a, row_b = u[a], u[b]
-            c, s = np.cos(item[1]), 1j * np.sin(item[1])
-            u[a], u[b] = c * row_a + s * row_b, s * row_a + c * row_b
+def parity_class(nb, num_qubits, parity):
+    """The tree's heap-order edges below the parents at depths of this
+    parity, as a dense Hamiltonian of unit weight on a num_qubits register."""
+    h = np.zeros((2 ** num_qubits, 2 ** num_qubits))
+    for p, c in tree_edges(nb):
+        if (p.bit_length() - 1) % 2 == parity:
+            h[p, c] = h[c, p] = 1.0
+    return h
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(nb=st.integers(2, 8), extra=st.integers(0, 2), parity=st.sampled_from([0, 1]),
+@given(nb=st.integers(2, 9), extra=st.integers(0, 2), parity=st.sampled_from([0, 1]),
        t=st.floats(-2.0, 2.0))
-@example(nb=8, extra=2, parity=1, t=0.7)
-def test_hoisted_ladder_is_exact(nb, extra, parity, t):
-    # the ladder of a tree factor commutes within itself and with every gate
-    # of the factor's right-child matching, so the chain over the factor's
-    # matchings in the frame of tree_label, each left-child stamp with its
-    # ladder, is the ladder, the chain without it, and the ladder again
-    def product(gates):
-        return program_unitary(SeoProgram(m, gates))
-
+@example(nb=9, extra=2, parity=1, t=0.7)
+@example(nb=2, extra=0, parity=0, t=0.7)
+def test_walsh_frame_factor_is_the_exact_exponential(nb, extra, parity, t):
+    # in the Walsh frame each tree factor is one matching, so the gates into
+    # the frame, one stamp of the factor and the gates out are the exact
+    # exponential of its heap-order edges, phase included; the identity on
+    # every state outside the block
     m = nb + extra
-    ladder = _tree_ladder(nb, m, parity)
-    left, right = ([(tree_label(p), tree_label(c)) for p, c in edges]
-                   for edges in tree_factors(nb)[parity])
-    rights = _at_time(_matching_plan(right, m, nb), t) if right else []
-    for i, a in enumerate(ladder):
-        for b in ladder[i + 1:] + rights:
-            assert frobenius_distance(product([a, b]), product([b, a])) <= 1e-12
-    with_ladders = _chain([left, right], m, nb)(t)
-    hoisted = ladder + _tree_chains(nb, m)[parity](t) + ladder
-    assert frobenius_distance(product(hoisted), product(with_ladders)) <= 1e-12
+    into, out = _tree_frame(nb, m)
+    body = into + tree_emitters(nb, m)[parity](t) + out
+    assert frobenius_distance(program_unitary(SeoProgram(m, body)),
+                              expi_hermitian(t * parity_class(nb, m, parity))) <= 1e-12
+
+
+def formula_unitary(dim, items):
+    """The dense product of a body whose items are dense unitaries, the
+    first applied first."""
+    u = np.eye(dim, dtype=complex)
+    for item in items:
+        if isinstance(item, Loop):
+            item = np.linalg.matrix_power(formula_unitary(dim, item.body), item.reps)
+        elif isinstance(item, list):
+            item = formula_unitary(dim, item)
+        u = item @ u
+    return u
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -421,17 +415,16 @@ def test_hoisted_ladder_is_exact(nb, extra, parity, t):
        n_trots=st.integers(1, 3))
 @example(nb=8, extra=2, g=0.7, n_trots=3)
 def test_relabelled_tree_is_the_heap_order_formula(nb, extra, g, n_trots):
-    # compile_tree runs the formula in the frame of tree_label between two
-    # copies of the permutation into it; the same formula over the heap-order
-    # matchings of tree_factors, each factor the order-2 split of its two
-    # matchings, evaluated in closed form, is the same unitary, phase included
-    def factor(left, right):
-        return lambda t: suzuki(2, t, lambda s: [(left, s)], lambda s: [(right, s)])
-
+    # compile_tree runs the formula in the Walsh frame between the gates into
+    # it and back; the same formula over the exact exponentials of the two
+    # heap-order parity classes of the tree's edges is the same unitary,
+    # phase included, on the block where every qubit above it is 0
     m = nb + extra
+    factors = [lambda t, h=parity_class(nb, nb, parity): [expi_hermitian(t * h)]
+               for parity in (0, 1)]
     heap = np.eye(2 ** m, dtype=complex)
-    apply_formula(heap, trotterize(TREE_ORDER, *(factor(*f) for f in tree_factors(nb)),
-                                   g, n_trots))
+    heap[:2 ** nb, :2 ** nb] = formula_unitary(
+        2 ** nb, trotterize(TREE_ORDER, *factors, g, n_trots))
     relabelled = compile_tree(FruitLayout.from_counts(1, nb), g, n_trots, m)
     assert frobenius_distance(program_unitary(relabelled), heap) <= 1e-12
 
