@@ -16,16 +16,14 @@ from typing import Callable, Iterable
 
 from .hamiltonian import (
     MAX_ENGLISH_LINES,
-    TREE_FACTOR_WEIGHT,
     TREE_ORDER,
     FruitLayout,
     FruitSpec,
     InputError,
     NandInputs,
     glue_edges,
-    line_factors,
+    line_edges,
     oracle_edges,
-    tree_factors,
 )
 from .seo import (
     CompileReport,
@@ -87,23 +85,83 @@ def _bits(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+class _Matching:
+    """Exact exponential of a disjoint (matching) edge set at weight times
+    the time: the constructor builds the plan, per ROTX the CNOTs before
+    it, its pivot and its controls, then the CNOTs that undo the last
+    ladder; a call at a time t stamps every ROTX with the angle -2 weight
+    t, so every call shares the plan's CNOT gates.  The edges are of a
+    block on the low block_qubits of the num_qubits register (all of it if
+    None), and the body acts on the block where every qubit above it is
+    0, as pad_controls would embed it.
+
+    Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
+    pairs are disjoint, so the rotations commute and any order is exact.
+    Rotations with one (pivot, ladder mask) share the ladder and one ROTX
+    per control cube: their cubes merge into their exact union
+    (_merge_cubes), and since every ROTX of the plan has one angle and acts
+    as exp(i theta X) on each pair its cube covers, a merged ROTX is the
+    product of the ones it replaces, phase included.  The groups run sorted
+    by (pivot, ladder mask); between two on one pivot only the symmetric
+    difference of their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^
+    L2) R2 L2, exact because CNOTs from one control commute and are
+    self-inverse.  The ladders and cubes are the block's own; each gate
+    then gets an F control on every qubit above the block, which no merge
+    can drop.  suzuki fuses the stamps of a _Matching emit_a that meet at
+    the seams of its higher orders.
+    """
+
+    def __init__(self, edges: list[tuple[int, int]], num_qubits: int,
+                 block_qubits: int | None = None, weight: float = 1.0):
+        block_qubits = num_qubits if block_qubits is None else block_qubits
+        if block_qubits > num_qubits:
+            raise ValueError(f"a {block_qubits}-qubit block does not fit a "
+                             f"{num_qubits}-qubit register")
+        pads = tuple((q, False) for q in range(block_qubits, num_qubits))
+        groups: dict[tuple[int, int], set] = {}
+        for a, b in edges:
+            pivot, mask, cube = _rotation_parts(a, b, block_qubits)
+            groups.setdefault((pivot, mask), set()).add(cube)
+        self.steps, self.weight = [], weight
+        pivot, mask = None, 0
+        for (new_pivot, new_mask), cubes in sorted(groups.items()):
+            undo, do = mask, new_mask
+            if new_pivot == pivot:
+                undo, do = mask & ~new_mask, new_mask & ~mask
+            cnots = _ladder(pivot, _bits(undo)[::-1], pads)
+            pivot, mask = new_pivot, new_mask
+            cnots += _ladder(pivot, _bits(do), pads)
+            for care, value in _merge_cubes(cubes, block_qubits):
+                controls = tuple((q, bool(value >> q & 1))
+                                 for q in range(block_qubits) if care >> q & 1)
+                self.steps.append((cnots, pivot, controls + pads))
+                cnots = []
+        self.tail = _ladder(pivot, _bits(mask)[::-1], pads)
+
+    def __call__(self, t: float) -> list:
+        angle = -2.0 * (self.weight * t)
+        body = []
+        for cnots, pivot, controls in self.steps:
+            body += cnots
+            body.append(Gate("ROTX", target=pivot, angle=angle, controls=controls))
+        return body + self.tail
+
+
 def two_state_rotation(a: int, b: int, theta: float, num_qubits: int) -> SeoProgram:
     """Exact circuit for exp(i*theta*(|a><b| + |b><a|)).
 
     Identity outside span{|a>, |b>}; on the span it acts as
     [[cos t, i sin t], [i sin t, cos t]].  A CNOT ladder maps a, b to states
     differing in one bit, a single multiply-controlled ROTX(-2*theta) does
-    the rotation there, and the ladder is undone: the plan of the one-edge
-    matching.
+    the rotation there, and the ladder is undone: the one-edge _Matching.
     """
-    plan = _matching_plan([(a, b)], num_qubits)
-    return SeoProgram(num_qubits, _at_time(plan, theta))
+    return SeoProgram(num_qubits, _Matching([(a, b)], num_qubits)(theta))
 
 
 def compile_glue(layout: FruitLayout, door: int, g: float) -> SeoProgram:
     """Exact circuit for the door-to-root coupling exponential."""
-    plan = _matching_plan(glue_edges(layout, door), layout.nb_total)
-    return SeoProgram(layout.nb_total, _at_time(plan, g))
+    glue = _Matching(glue_edges(layout, door), layout.nb_total)
+    return SeoProgram(layout.nb_total, glue(g))
 
 
 def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
@@ -112,8 +170,8 @@ def compile_oracle(layout: FruitLayout, x: NandInputs, g: float) -> SeoProgram:
     One two-state rotation per set input bit, leaf k to its marker state;
     the pairs are disjoint so the product is exact in any order.
     """
-    plan = _matching_plan(oracle_edges(layout, x), layout.nb_total)
-    return SeoProgram(layout.nb_total, _at_time(plan, g))
+    oracle = _Matching(oracle_edges(layout, x), layout.nb_total)
+    return SeoProgram(layout.nb_total, oracle(g))
 
 
 def compile_shift(k: int, num_qubits: int) -> SeoProgram:
@@ -249,81 +307,12 @@ def trotterize(order: int, emit_a: Callable[[float], list],
     return body if n_trots == 1 else [Loop(n_trots, body)]
 
 
-def _matching_plan(
-    edges: list[tuple[int, int]], num_qubits: int, block_qubits: int | None = None
-) -> tuple[list, list]:
-    """Exact exponential of a disjoint (matching) edge set, as a plan that
-    _at_time stamps with the angles of one time: per ROTX, the CNOTs before
-    it, its pivot and its controls; then the CNOTs that undo the last
-    ladder.  The edges are of a block on the low block_qubits of the
-    num_qubits register (all of it if None), and the plan acts on the block
-    where every qubit above it is 0, as pad_controls would embed it.
-
-    Each edge is a two-state rotation, ladder L, ROTX R, L again.  The
-    pairs are disjoint, so the rotations commute and any order is exact.
-    Rotations with one (pivot, ladder mask) share the ladder and one ROTX
-    per control cube: their cubes merge into their exact union
-    (_merge_cubes), and since every ROTX of the plan has one angle and acts
-    as exp(i theta X) on each pair its cube covers, a merged ROTX is the
-    product of the ones it replaces, phase included.  The groups run sorted
-    by (pivot, ladder mask); between two on one pivot only the symmetric
-    difference of their ladders is emitted, L1 R1 L1 L2 R2 L2 = L1 R1 (L1 ^
-    L2) R2 L2, exact because CNOTs from one control commute and are
-    self-inverse.  The ladders and cubes are the block's own; each gate
-    then gets an F control on every qubit above the block, which no merge
-    can drop.  compile_fruit builds one plan per matching per compile, so
-    its CNOT gates are shared by every time.
-    """
-    if block_qubits is None:
-        block_qubits = num_qubits
-    if block_qubits > num_qubits:
-        raise ValueError(f"a {block_qubits}-qubit block does not fit a "
-                         f"{num_qubits}-qubit register")
-    pads = tuple((q, False) for q in range(block_qubits, num_qubits))
-    groups: dict[tuple[int, int], set] = {}
-    for a, b in edges:
-        pivot, mask, cube = _rotation_parts(a, b, block_qubits)
-        groups.setdefault((pivot, mask), set()).add(cube)
-    steps = []
-    pivot, mask = None, 0
-    for (new_pivot, new_mask), cubes in sorted(groups.items()):
-        undo, do = mask, new_mask
-        if new_pivot == pivot:
-            undo, do = mask & ~new_mask, new_mask & ~mask
-        cnots = _ladder(pivot, _bits(undo)[::-1], pads)
-        pivot, mask = new_pivot, new_mask
-        cnots += _ladder(pivot, _bits(do), pads)
-        for care, value in _merge_cubes(cubes, block_qubits):
-            controls = tuple((q, bool(value >> q & 1))
-                             for q in range(block_qubits) if care >> q & 1)
-            steps.append((cnots, pivot, controls + pads))
-            cnots = []
-    return steps, _ladder(pivot, _bits(mask)[::-1], pads)
-
-
-def _at_time(plan: tuple[list, list], theta: float) -> list:
-    """The gates of a matching plan with every ROTX at angle -2*theta."""
-    steps, tail = plan
-    body = []
-    for cnots, pivot, controls in steps:
-        body += cnots
-        body.append(Gate("ROTX", target=pivot, angle=-2.0 * theta, controls=controls))
-    return body + tail
-
-
-class _Matching:
-    """Emitter of one matching's exact exponential at weight times the
-    time.  The plan is built once per compile; emitting at a time only
-    stamps the angles.  suzuki fuses the stamps of a _Matching emit_a that
-    meet at the seams of its higher orders."""
-
-    def __init__(self, edges: list, num_qubits: int, block_qubits: int,
-                 weight: float = 1.0):
-        self.plan = _matching_plan(edges, num_qubits, block_qubits)
-        self.weight = weight
-
-    def __call__(self, t: float) -> list:
-        return _at_time(self.plan, self.weight * t)
+def line_factors(nb_line: int) -> tuple[list, list]:
+    """The two product-formula factors of the line, each one matching: the
+    even-indexed edges and the odd-indexed ones, as alternating edges never
+    share a state."""
+    edges = line_edges(nb_line)
+    return edges[0::2], edges[1::2]
 
 
 def line_emitters(nb_line: int, num_qubits: int) -> tuple:
@@ -353,27 +342,69 @@ def compile_line(
     return SeoProgram(num_qubits, trotterize(r_line, *emitters, g_eff, nt_line))
 
 
+# The tree block is compiled in a Walsh frame: the column reduction of a
+# binary tree to weighted paths (Childs, Farhi, Gutmann,
+# arXiv:quant-ph/0103020), gate by gate.  A permutation P first puts heap
+# node j at depth d on the state tree_label(j) = 2^d | rev_d(j mod 2^d),
+# where rev_d reverses the low d bits: there a node's low d bits are its path
+# from the root, first step lowest, under the depth's leading one, and the
+# two children of a depth-d parent store their step, 0 or 1, at bit d and
+# move the leading one to bit d+1.  Then the mixers W apply ROTY(pi/2) to
+# every path bit j < k of every depth k >= 1.  W takes two siblings'
+# symmetric combination, (|0> + |1>)/sqrt 2 at bit d, to |1> and leaves the
+# antisymmetric one uncoupled, while both ends of an edge get the same mixer
+# on the parent's path bits.  So the edges below the depth-d parents, the
+# heap nodes [2^d, 2^(d+1)), become the pairs (2^d | q, 3 * 2^d | q) for
+# q < 2^d: a flip of bit d+1 under bit d set, at weight sqrt 2.  Each of the
+# tree's two product-formula factors, the parents at the depths of one
+# parity, is then one matching, and the tree formula runs between P + W and
+# W^-1 + P.  The Hamiltonian, the layout, the Log and the dense reference
+# stay in heap order.
+
+# the weight, times the coupling, of each tree factor's matching in the frame
+TREE_FACTOR_WEIGHT = math.sqrt(2)
+
+
+def tree_label(j: int) -> int:
+    """The state P puts heap node j on: 2^d | rev_d(j mod 2^d) at depth
+    d = j.bit_length() - 1.  The dud 0 and the root 1 keep their labels,
+    every depth keeps its range of states, and labelling twice gives j
+    back."""
+    if j < 2:
+        return j
+    path = format(j, "b")[1:]  # the steps from the root, first step first
+    return 1 << len(path) | int(path[::-1], 2)
+
+
+def tree_factors(nb_tree: int) -> tuple[list, list]:
+    """The two product-formula factors of the tree in its frame, the edges
+    below even-depth parents and those below odd-depth ones: for each
+    parent depth d of the parity, the pairs (2^d | q, 3 * 2^d | q), q <
+    2^d."""
+    return tuple([(1 << d | q, 3 << d | q) for d in range(parity, nb_tree - 1, 2)
+                  for q in range(1 << d)]
+                 for parity in (0, 1))
+
+
 def tree_emitters(nb_tree: int, num_qubits: int) -> tuple:
     """(emit_a, emit_b): the exponentials of the two factors of
-    tree_factors, for the block on the low nb_tree qubits of a num_qubits
-    register, in the Walsh frame (_tree_frame) a formula over them runs in.
-    Each factor is one matching at weight TREE_FACTOR_WEIGHT, and it needs
-    one ROTX per parent depth d of its parity: on bit d+1, under bit d set
-    and every qubit above d+1 clear."""
+    tree_factors at TREE_FACTOR_WEIGHT, for the block on the low nb_tree
+    qubits of a num_qubits register.  Each needs one ROTX per parent depth
+    d of its parity: on bit d+1, under bit d set and every qubit above d+1
+    clear."""
     return tuple(_Matching(factor, num_qubits, nb_tree, TREE_FACTOR_WEIGHT)
                  for factor in tree_factors(nb_tree))
 
 
 def _tree_frame(nb_tree: int, num_qubits: int) -> tuple[list, list]:
-    """The gates into the Walsh frame the tree formula runs in, and back
-    out, for the block on the low nb_tree qubits of a num_qubits register.
-    Each acts on one depth k >= 1, under the controls qubit k set and every
-    qubit above it clear.  In: the permutation P from heap order into the
-    frame of tree_label, which reverses the low k bits as one swap of bits
-    i and k-1-i per i < k/2, three CNOTs each, then the mixers W of
-    tree_factors, one ROTY(pi/2) per bit j < k.  The mixers commute with
-    each other, so out is W with negated angles, then P reversed, exact
-    since every gate of P is a self-inverse permutation."""
+    """The gates into the tree's frame, P + W, and back out, W^-1 + P, for
+    the block on the low nb_tree qubits of a num_qubits register.  Each
+    acts on one depth k >= 1, under the controls qubit k set and every
+    qubit above it clear.  P reverses the low k bits as one swap of bits i
+    and k-1-i per i < k/2, three CNOTs each; W is one ROTY(pi/2) per bit j
+    < k.  The mixers commute with each other, so W^-1 is W with negated
+    angles, and P is its own inverse, since its gates are self-inverse
+    permutations."""
     perm, mix, unmix = [], [], []
     for k in range(1, nb_tree):
         depth = ((k, True),) + tuple((q, False) for q in range(k + 1, num_qubits))
@@ -386,45 +417,52 @@ def _tree_frame(nb_tree: int, num_qubits: int) -> tuple[list, list]:
     return perm + mix, unmix + perm[::-1]
 
 
+def _tree_block(nb_tree: int, num_qubits: int,
+                nt_tree: int) -> Callable[[float], list]:
+    """The tree block's formula at a coupling, as [in, formula, out]: the
+    order-TREE_ORDER formula over tree_emitters, repeated nt_tree times,
+    between the gates into the frame and back (_tree_frame).  The emitters
+    and the frame are built once, here, and every coupling shares them."""
+    emitters = tree_emitters(nb_tree, num_qubits)
+    into, out = _tree_frame(nb_tree, num_qubits)
+    return lambda t: [into, trotterize(TREE_ORDER, *emitters, t, nt_tree), out]
+
+
 def compile_tree(
     layout: FruitLayout, g_eff: float, nt_tree: int, num_qubits: int | None = None
 ) -> SeoProgram:
-    """Order-4 product-formula approximant of the tree-block exponential.
+    """Order-4 product-formula approximant of the tree-block exponential,
+    compiled in the tree's frame (_tree_block).
 
     Acts on the nb_tree low qubits in heap indexing (dud at state 0) of a
     num_qubits register (nb_tree if None), as pad_controls would embed it.
-    Inside, the formula over tree_emitters runs in the Walsh frame, between
-    the gates into that frame and back (_tree_frame).
     """
     num_qubits = layout.nb_tree if num_qubits is None else num_qubits
-    emitters = tree_emitters(layout.nb_tree, num_qubits)
-    into, out = _tree_frame(layout.nb_tree, num_qubits)
-    return SeoProgram(num_qubits, into + trotterize(TREE_ORDER, *emitters, g_eff,
-                                                    nt_tree) + out)
+    tree = _tree_block(layout.nb_tree, num_qubits, nt_tree)
+    return SeoProgram(num_qubits, tree(g_eff))
 
 
 def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     """Compile the full evolution operator into one gate program.
 
     The bulk factor embeds the line block at offset 0 and the tree block,
-    compiled in its Walsh frame, at offset ns_line (projector padding plus
-    state shifting); the corrections factor is the exact glue and oracle
+    compiled in its frame, at offset ns_line (projector padding plus state
+    shifting); the corrections factor is the exact glue and oracle
     rotations in global indices.  The two factors feed a meta product
     formula of order r_meta, repeated nt_meta times via Trotter's trick.
     Every product formula is built from suzuki's one symmetric split.
 
-    Each piece is built once per call: the line and tree emitters (so each
-    matching's plan, embedding included, is built once per compile), the
-    shift bodies into and out of the tree offset, each joined with the
-    gates into and out of the tree's Walsh frame (_tree_frame), and the
-    glue and oracle plans; a factor at a time only stamps angles onto them.
-    Repeated factors and half steps are shared by the product-formula
-    recursion, which builds each sub-formula once, so the program holds the
-    same Gate, Loop and list objects in many places; treat it as immutable.
-    Since factors stay sub-lists spliced in place (see SeoProgram), the
-    program does not compare equal to the flat one parse_english reads back
-    from its English file, though both write the same file and have the
-    same unitary.
+    Each piece is built once per call: the line emitters, the tree block
+    (its emitters and frame), the shift bodies into and out of the tree
+    offset, and the glue and oracle matchings, so each of the six
+    matchings' plans, embedding included, is built once per compile; a
+    factor at a time only stamps angles onto them.  Repeated factors and
+    half steps are shared by the product-formula recursion, which builds
+    each sub-formula once, so the program holds the same Gate, Loop and
+    list objects in many places; treat it as immutable.  Since factors stay
+    sub-lists spliced in place (see SeoProgram), the program does not
+    compare equal to the flat one parse_english reads back from its English
+    file, though both write the same file and have the same unitary.
 
     A spec whose English file would pass MAX_ENGLISH_LINES lines, counted
     from the program, raises an InputError; FruitSpec.validate has already
@@ -433,19 +471,17 @@ def compile_fruit(spec: FruitSpec) -> tuple[SeoProgram, CompileReport]:
     layout, x = spec.resolve()
     nb_total = layout.nb_total
     line = line_emitters(layout.nb_line, nb_total)
-    tree = tree_emitters(layout.nb_tree, nb_total)
-    into, out = _shift_bodies(layout.tree_offset, nb_total)
-    enter, leave = _tree_frame(layout.nb_tree, nb_total)
-    shift_in, shift_out = into + enter, leave + out
-    glue = _matching_plan(glue_edges(layout, spec.door), nb_total)
-    oracle = _matching_plan(oracle_edges(layout, x), nb_total)
+    tree = _tree_block(layout.nb_tree, nb_total, spec.nt_tree)
+    shift_in, shift_out = _shift_bodies(layout.tree_offset, nb_total)
+    glue = _Matching(glue_edges(layout, spec.door), nb_total)
+    oracle = _Matching(oracle_edges(layout, x), nb_total)
 
     def bulk(t: float) -> list:
-        return (trotterize(spec.r_line, *line, t, spec.nt_line) + shift_in
-                + trotterize(TREE_ORDER, *tree, t, spec.nt_tree) + shift_out)
+        return [trotterize(spec.r_line, *line, t, spec.nt_line), shift_in, tree(t),
+                shift_out]
 
     def corr(t: float) -> list:
-        return _at_time(glue, t) + _at_time(oracle, t)
+        return glue(t) + oracle(t)
 
     body = trotterize(spec.r_meta, bulk, corr, spec.g, spec.nt_meta)
     program = SeoProgram(nb_total, body)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,6 @@ MAX_COUPLING = 2.0 ** 52
 
 # the binary tree always gets this product-formula order
 TREE_ORDER = 4
-
-# the weight, times the coupling, of each tree factor's one matching in the
-# Walsh frame the tree block is compiled in (tree_factors)
-TREE_FACTOR_WEIGHT = math.sqrt(2)
 
 
 def gray_code(n: int) -> list[int]:
@@ -180,22 +176,10 @@ class FruitSpec:
             )
 
     def resolve(self) -> tuple[FruitLayout, NandInputs]:
-        """Validate the spec, then build its layout and its NAND inputs.
-
-        The result is kept on the spec with the field values it was built
-        from, so compile_fruit and assemble_fruit on one spec validate it
-        once; a spec whose fields changed since is validated again, and an
-        invalid one raises on every call.
-        """
-        values = tuple(getattr(self, f.name) for f in fields(self))
-        kept = vars(self).get("_resolved")
-        if kept is not None and kept[0] == values:
-            return kept[1]
+        """Validate the spec, then build its layout and its NAND inputs."""
         self.validate()
         layout = FruitLayout.from_counts(self.nb_line, self.nb_tree)
-        resolved = layout, parse_bands(self.bands_text, layout.ns_lvs)
-        self._resolved = values, resolved
-        return resolved
+        return layout, parse_bands(self.bands_text, layout.ns_lvs)
 
 
 @dataclass(frozen=True)
@@ -289,51 +273,6 @@ def line_edges(nb_line: int) -> list[tuple[int, int]]:
 def tree_edges(nb_tree: int) -> list[tuple[int, int]]:
     """Parent-child pairs (j, 2j) and (j, 2j+1) in heap order."""
     return [(j, 2 * j + s) for j in range(1, 2 ** (nb_tree - 1)) for s in (0, 1)]
-
-
-def line_factors(nb_line: int) -> tuple[list, list]:
-    """The two product-formula factors of the line, each one matching: the
-    even-indexed edges and the odd-indexed ones, as alternating edges never
-    share a state."""
-    edges = line_edges(nb_line)
-    return edges[0::2], edges[1::2]
-
-
-def tree_factors(nb_tree: int) -> tuple[list, list]:
-    """The two product-formula factors of the tree, the edges below
-    even-depth parents and those below odd-depth ones, each one matching in
-    the Walsh frame the tree block is compiled in, at TREE_FACTOR_WEIGHT
-    times the coupling.
-
-    In the frame of tree_label a depth-k node holds its path from the root
-    in its low k bits under its depth's leading one at bit k, and the two
-    children of a depth-d parent store their step, 0 or 1, at bit d of the
-    parent's path and move the leading one to bit d+1.  The Walsh frame
-    then applies ROTY(pi/2) to every path bit j < k of every depth k >= 1,
-    which takes the siblings' symmetric combination, (|0> + |1>)/sqrt 2 at
-    bit d, to |1> and leaves the antisymmetric one uncoupled, while both
-    ends of an edge get the same mixer on the parent's path bits.  So the
-    edges below the depth-d parents, the heap nodes [2^d, 2^(d+1)), become
-    the pairs (2^d | q, 3 * 2^d | q) for q < 2^d: a flip of bit d+1 under
-    bit d set, at weight sqrt 2."""
-    return tuple([(1 << d | q, 3 << d | q) for d in range(parity, nb_tree - 1, 2)
-                  for q in range(1 << d)]
-                 for parity in (0, 1))
-
-
-def tree_label(j: int) -> int:
-    """The state of heap node j after the permutation that starts the tree
-    block's frame (the Walsh mixers of tree_factors follow it):
-    2^d | rev_d(j mod 2^d) at depth d = j.bit_length() - 1, where rev_d
-    reverses the low d bits, so the path from the root is stored first step
-    lowest under the depth's leading one.  An edge from depth d to its right
-    child then flips bit d+1 alone, and to its left child bits d and d+1.
-    The dud 0 and the root 1 keep their labels, every depth keeps its range
-    of states, and labelling twice gives j back."""
-    if j < 2:
-        return j
-    path = format(j, "b")[1:]  # the steps from the root, first step first
-    return 1 << len(path) | int(path[::-1], 2)
 
 
 def glue_edges(layout: FruitLayout, door: int) -> list[tuple[int, int]]:

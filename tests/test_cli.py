@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from nandfruit import FruitSpec, cli, count_elementary_ops, parse_english
+from nandfruit import cli, count_elementary_ops, parse_english
 from nandfruit.cli import run
 
 
@@ -81,16 +81,6 @@ class TestRun:
         out = output_fields(capsys)
         assert out["Error"] == "skipped"
         assert "skipped" in out["Message"]
-
-    def test_verified_cycle_validates_the_spec_once(self, tmp_path, capsys, monkeypatch):
-        # compile_fruit and assemble_fruit share the spec's resolved layout
-        calls = []
-        validate = FruitSpec.validate
-        monkeypatch.setattr(FruitSpec, "validate",
-                            lambda spec: calls.append(spec) or validate(spec))
-        assert run(base_args(tmp_path / "once")) == 0
-        assert output_fields(capsys)["Message"] == "OK"
-        assert len(calls) == 1
 
     def test_verify_cap(self, tmp_path, capsys):
         argv = base_args(tmp_path / "cap", **{"--max-verify-qubits": "4"})

@@ -38,9 +38,8 @@ from nandfruit import (
     write_english,
     write_picture,
 )
-from nandfruit import compilers
-from nandfruit.compilers import _at_time, _matching_plan, _tree_frame, tree_emitters
-from nandfruit.hamiltonian import SparseSymmetric, line_factors, tree_edges
+from nandfruit.compilers import _Matching, _tree_frame, line_factors, tree_emitters
+from nandfruit.hamiltonian import tree_edges
 from nandfruit.seo import Gate
 
 
@@ -355,10 +354,10 @@ class TestLine:
         nb_line, num_qubits = 5, 7
         pads = [(q, False) for q in range(nb_line, num_qubits)]
         even, odd = line_factors(nb_line)
-        (rotx,) = _at_time(_matching_plan(even, num_qubits, nb_line), 0.5)
+        (rotx,) = _Matching(even, num_qubits, nb_line)(0.5)
         assert (rotx.kind, rotx.target) == ("ROTX", 0)
         assert sorted(rotx.controls) == pads
-        gates = _at_time(_matching_plan(odd, num_qubits, nb_line), 0.5)
+        gates = _Matching(odd, num_qubits, nb_line)(0.5)
         assert [(gate.kind, gate.target) for gate in gates] == [
             ("ROTX", j) for j in range(1, nb_line)]
         for j, gate in enumerate(gates, 1):
@@ -564,54 +563,23 @@ def file_hashes(spec, tmp_path, relabel=True):
     )
 
 
-# SHA-256 of the English and Picture files of the README example.  First
-# pinned while loop ids were still drawn as the loops were built (at meta
-# order 2 that is the NEXT order the writers number by); re-pinned when the
-# rotations of a matching began to share their CNOT ladders, which removed
-# 32 of 5592 ops and left the dense error bit-identical; re-pinned when the
-# order-4 tree formula began to fuse the edge stamps at its seams (ops 5560
-# -> 5176, dense error 2.513340538285027e-04 -> 2.513340538285294e-04); re-pinned
-# when the shift into the tree offset became the shift out of it reversed
-# (ops 5176 -> 5168, dense error bit-identical); re-pinned when the tree
-# block began to be compiled in the frame of tree_label (ops 5168 -> 3936,
-# dense error 2.513340538285294e-04 -> 2.5133405382852505e-04); re-pinned
-# when the rotations of a matching that share a ladder began to share one
-# ROTX per control cube (ops 3936 -> 3228, dense error bit-identical);
-# re-pinned when each tree factor began to run in its own frame, its CNOT
-# ladder hoisted out of its stamps (ops 3228 -> 2220, dense error
-# 2.5133405382832757e-04 -> 2.5133405382833006e-04); re-pinned when the
-# tree began to be compiled in the Walsh frame, each factor one matching
-# (ops 2220 -> 652, dense error 2.5133405382833006e-04 ->
-# 2.513340537032833e-04)
+# SHA-256 of the English and Picture files of the README example as
+# written, loop ids included.  Any change to a gate, to the last digit of an
+# angle or to the order of the items moves them, so a change that means to
+# move them declares its new op count and dense error.
 README_FILES = (
     "447d29b760543ef5e40409d6d64e41191157c5e437aa852438b6429b781469e8",
     "e914b585c144c8861cb2269f5a5ec557838bea5034f5227bb26265f7f5d5eeba",
 )
 
-# SHA-256 of the English and Picture files with loop ids relabelled by first
-# LOOP line (at meta orders >= 4 the writers' NEXT-order ids permute the
-# build-order ones); the zero-coupling spec has both 0.0 and -0.0 angles.
-# First pinned from the compiler before it shared repeated bodies; re-pinned
-# when the rotations of a matching began to share their CNOT ladders (ops
-# 27960 -> 27800, 29640 -> 29560 and 175000 -> 174200, dense errors
-# bit-identical), and again when the higher-order formulas began to fuse the
-# edge stamps at their seams (ops 27800 -> 25880, 29560 -> 27640 and 174200
-# -> 151800; dense errors moved by at most 3e-17, the zero-coupling one
-# stays 0.0), and again when the shift into the tree offset became the shift
-# out of it reversed (ops 25880 -> 25840 and 151800 -> 151600, the line-4
-# spec unchanged; dense errors bit-identical), and again when the tree block
-# began to be compiled in the frame of tree_label (ops 25840 -> 19680, 27640
-# -> 21480 and 151600 -> 120800; dense errors moved by at most 9e-18, the
-# zero-coupling one stays 0.0), and again when the rotations of a matching
-# that share a ladder began to share one ROTX per control cube (ops 19680 ->
-# 16140, 21480 -> 16180 and 120800 -> 90300; dense errors bit-identical),
-# and again when each tree factor began to run in its own frame, its CNOT
-# ladder hoisted out of its stamps (ops 16140 -> 11100, 16180 -> 11140 and
-# 90300 -> 65100; dense errors moved by at most 1.1e-17, the zero-coupling
-# one stays 0.0), and again when the tree began to be compiled in the Walsh
-# frame, each factor one matching (ops 11100 -> 3260, 11140 -> 3300 and
-# 65100 -> 25900; dense errors moved by at most 1.2e-14, the zero-coupling
-# one stays 0.0)
+# SHA-256 of the English and Picture files of three variants of the README
+# spec, with loop ids relabelled by first LOOP line so that the pins hold the
+# gates, angles and loop structure and not the writers' numbering (at meta
+# orders >= 4 the NEXT-order ids are not in the order of the LOOP lines).
+# They pin the shared and fused bodies of the higher-order formulas: meta
+# order 4, the same on a larger line register (a cache kept between calls
+# would mix the two up), and line order 4 with meta order 6 at zero
+# coupling, whose files hold both 0.0 and -0.0 angles.
 GOLDEN = {
     "readme-meta4": (
         dict(r_meta=4),
@@ -673,10 +641,12 @@ class TestSharedBodies:
     ], ids=["compile-9q", "readme-meta6"])
     def test_each_matching_plan_is_built_once_per_compile(self, spec, monkeypatch):
         # two line matchings, two tree matchings, the glue and the oracle,
-        # whatever the number of distinct times the meta formula has
+        # whatever the number of distinct times the meta formula has.  The
+        # constructor is wrapped, not the class, so suzuki still sees a
+        # _Matching and fuses its seams
         calls = []
-        build = compilers._matching_plan
-        monkeypatch.setattr(compilers, "_matching_plan",
+        build = _Matching.__init__
+        monkeypatch.setattr(_Matching, "__init__",
                             lambda *args: calls.append(args) or build(*args))
         compile_fruit(spec)
         assert len(calls) == 6

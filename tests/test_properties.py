@@ -47,13 +47,7 @@ from nandfruit import (
     write_english,
 )
 from nandfruit.cli import run
-from nandfruit.compilers import (
-    _at_time,
-    _matching_plan,
-    _tree_frame,
-    line_emitters,
-    tree_emitters,
-)
+from nandfruit.compilers import _Matching, _tree_frame, line_emitters, tree_emitters
 from nandfruit.hamiltonian import TREE_ORDER, tree_edges
 from nandfruit.seo import GATE_KINDS
 from tests.test_verify import flat_unitary
@@ -177,7 +171,7 @@ def matchings(draw):
 @given(case=matchings())
 def test_merged_ladders_are_the_exact_exponential(case):
     n, edges, theta, m = case
-    body = _at_time(_matching_plan(edges, m, n), theta)
+    body = _Matching(edges, m, n)(theta)
     # exp(i theta sum(|a><b| + |b><a|)) on the block where every qubit above
     # it is 0, the identity elsewhere
     h = np.zeros((2 ** m, 2 ** m))
@@ -231,7 +225,7 @@ def test_merged_cubes_are_the_exact_exponential(case):
     # the rotations of one (pivot, ladder mask) share one ROTX per control
     # cube; the plan stays exp(i theta sum(|a><b| + |b><a|)), phase included
     n, edges, theta, m = case
-    body = _at_time(_matching_plan(edges, m, n), theta)
+    body = _Matching(edges, m, n)(theta)
     h = np.zeros((2 ** m, 2 ** m))
     for a, b in edges:
         h[a, b] = h[b, a] = theta
