@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import mul
 
 from .hamiltonian import TREE_ORDER
 
@@ -101,33 +103,52 @@ class SeoProgram:
     def validate(self) -> None:
         """Check loop reps are positive and qubits in range.
 
-        Each distinct Loop, list and Gate object is checked once, since
-        compiled programs share them between many items.
+        Each distinct list is checked once, since compiled programs share
+        lists between many places.
         """
-        _check(self.body, self.num_qubits, set())
+        n = self.num_qubits
+
+        def gate(item: Gate) -> int:
+            # not through item.qubits(), which would build a set per gate
+            for q, _ in item.controls:
+                if not 0 <= q < n:
+                    raise ValueError(f"gate touches qubit {q} outside register of {n}")
+            if item.target is not None and not 0 <= item.target < n:
+                raise ValueError(f"gate touches qubit {item.target} outside register of {n}")
+            return 0
+
+        def loop(reps: int, body: int) -> int:
+            if reps < 1:
+                raise ValueError(f"loop has reps {reps} < 1")
+            return body
+
+        _fold(self.body, gate, loop)
 
 
-# The walkers below recurse through module-level functions, not nested
-# closures: a closure that calls itself is a reference cycle, which would keep
-# the program, its text or its counts alive until the garbage collector runs.
-def _check(items, num_qubits: int, checked: set) -> None:
-    for item in items:
-        if id(item) in checked:
-            continue
-        checked.add(id(item))
-        if isinstance(item, list):
-            _check(item, num_qubits, checked)
-        elif isinstance(item, Loop):
-            if item.reps < 1:
-                raise ValueError(f"loop has reps {item.reps} < 1")
-            _check(item.body, num_qubits, checked)
-        else:
-            for q in item.qubits():
-                if not 0 <= q < num_qubits:
-                    raise ValueError(
-                        f"gate touches qubit {q} outside register of "
-                        f"{num_qubits}"
-                    )
+# Recurses through itself at module level, not as a nested closure: a closure
+# that calls itself is a reference cycle, which would keep the program's sums
+# alive until the garbage collector runs.
+def _fold(items, gate, loop, zero=int, memo=None):
+    """The sum over items, from zero(): gate(g) per Gate, loop(reps, the
+    body's sum) per Loop, and a list's sum per list, as if spliced in place.
+
+    Each distinct list is summed once; where it stands again its sum is
+    reused, so a shared list or Loop costs one walk however often it stands.
+    """
+    if memo is None:
+        memo = {}
+    total = memo.get(id(items))
+    if total is None:
+        total = zero()
+        for item in items:
+            if isinstance(item, Gate):
+                total += gate(item)
+            elif isinstance(item, Loop):
+                total += loop(item.reps, _fold(item.body, gate, loop, zero, memo))
+            else:
+                total += _fold(item, gate, loop, zero, memo)
+        memo[id(items)] = total
+    return total
 
 
 @dataclass
@@ -141,51 +162,19 @@ class CompileReport:
 
 
 def count_elementary_ops(program: SeoProgram) -> int:
-    """Gate count with every loop body weighted by its repetition count.
-
-    A list shared by several places is counted once.
-    """
-    return _count(program.body, {}, lambda reps, body: reps * body)
+    """Gate count with every loop body weighted by its repetition count."""
+    return _fold(program.body, lambda gate: 1, mul)
 
 
 def count_english_lines(program: SeoProgram) -> int:
     """Lines of the program's English file, without writing it: the header,
     one per gate and a LOOP and a NEXT line per loop occurrence."""
-    return 1 + _count(program.body, {}, lambda reps, body: 2 + body)
-
-
-def _count(items, counts: dict, loop) -> int:
-    """The count of items: 1 per gate, loop(reps, the body's count) per Loop."""
-    total = counts.get(id(items))
-    if total is None:
-        total = 0
-        for item in items:
-            if isinstance(item, list):
-                total += _count(item, counts, loop)
-            elif isinstance(item, Loop):
-                total += loop(item.reps, _count(item.body, counts, loop))
-            else:
-                total += 1
-        counts[id(items)] = total
-    return total
+    return 1 + _fold(program.body, lambda gate: 1, lambda reps, body: 2 + body)
 
 
 def expand(program: SeoProgram) -> list[Gate]:
     """Unroll all loops into a flat gate list, in execution order."""
-    out: list[Gate] = []
-    _unroll(program.body, out)
-    return out
-
-
-def _unroll(items, out: list) -> None:
-    for item in items:
-        if isinstance(item, list):
-            _unroll(item, out)
-        elif isinstance(item, Loop):
-            for _ in range(item.reps):
-                _unroll(item.body, out)
-        else:
-            out.append(item)
+    return _fold(program.body, lambda gate: [gate], mul, list)
 
 
 def _gate_line(gate: Gate, control_text: str) -> str:
@@ -209,31 +198,21 @@ def _program_chunks(program: SeoProgram, render_gate) -> list[str]:
     LOOP and NEXT, with every list spliced in place.
 
     Each distinct list is rendered once, into the joined lines of each run
-    of gates between its Loops and sub-lists; each distinct Gate object is
-    rendered once (by identity: 0.0 and -0.0 are equal but render apart).
-    Each loop occurrence is numbered in the order the NEXT lines close, so
-    a Loop or list shared by several places gets one id per place.
+    of gates between its Loops and sub-lists.  Each loop occurrence is
+    numbered in the order the NEXT lines close, so a Loop or list shared by
+    several places gets one id per place.
     """
-    rendered: dict[int, str] = {}
     parts: dict[int, list] = {}  # list id -> its runs of gate text, Loops and lists
 
     def parts_of(items) -> list:
         out = parts.get(id(items))
         if out is None:
-            out, run = [], []
-            for item in items:
-                if isinstance(item, (list, Loop)):
-                    if run:
-                        out.append("".join(run))
-                        run = []
-                    out.append(item)
+            out = []
+            for is_gate, run in groupby(items, lambda item: isinstance(item, Gate)):
+                if is_gate:
+                    out.append("".join(render_gate(gate) + "\n" for gate in run))
                 else:
-                    line = rendered.get(id(item))
-                    if line is None:
-                        line = rendered[id(item)] = render_gate(item) + "\n"
-                    run.append(line)
-            if run:
-                out.append("".join(run))
+                    out += run
             parts[id(items)] = out
         return out
 
@@ -348,6 +327,16 @@ def _write_chunks(path, chunks) -> None:
 _CONTROL_TOKENS = {"T": True, "F": False}
 
 
+def _is_integer(token: str, signed: bool = False) -> bool:
+    """Whether token is ASCII digits, after one leading '-' when signed.
+
+    str.isdigit alone also admits digits such as '²' that int rejects.
+    """
+    if signed and token.startswith("-"):
+        token = token[1:]
+    return token.isascii() and token.isdigit()
+
+
 def _parse_gate(tokens: list[str], lineno: int) -> Gate:
     kind = tokens[0]
     pos = 1
@@ -364,10 +353,9 @@ def _parse_gate(tokens: list[str], lineno: int) -> Gate:
     if pos < len(tokens) and tokens[pos] == "AT":
         if pos + 1 >= len(tokens):
             raise SeoSyntaxError(f"line {lineno}: missing target after AT")
-        try:
-            target = int(tokens[pos + 1])
-        except ValueError:
+        if not _is_integer(tokens[pos + 1]):
             raise SeoSyntaxError(f"line {lineno}: bad target {tokens[pos + 1]!r}")
+        target = int(tokens[pos + 1])
         pos += 2
     controls = []
     if pos < len(tokens):
@@ -377,7 +365,7 @@ def _parse_gate(tokens: list[str], lineno: int) -> Gate:
         if not ctrl_tokens:
             raise SeoSyntaxError(f"line {lineno}: IF with no controls")
         for tok in ctrl_tokens:
-            if len(tok) < 2 or tok[-1] not in _CONTROL_TOKENS or not tok[:-1].isdigit():
+            if tok[-1] not in _CONTROL_TOKENS or not _is_integer(tok[:-1]):
                 raise SeoSyntaxError(f"line {lineno}: bad control token {tok!r}")
             controls.append((int(tok[:-1]), _CONTROL_TOKENS[tok[-1]]))
     try:
@@ -394,7 +382,7 @@ def parse_english(path) -> SeoProgram:
     if not lines:
         raise SeoSyntaxError("empty file: missing NUM_QUBITS header")
     lineno, header = lines[0]
-    if len(header) != 2 or header[0] != "NUM_QUBITS" or not header[1].isdigit():
+    if len(header) != 2 or header[0] != "NUM_QUBITS" or not _is_integer(header[1]):
         raise SeoSyntaxError(f"line {lineno}: expected 'NUM_QUBITS <n>' header")
     program = SeoProgram(num_qubits=int(header[1]))
     stack: list[list] = [program.body]
@@ -406,8 +394,8 @@ def parse_english(path) -> SeoProgram:
             if (
                 len(tokens) != 4
                 or tokens[2] != "REPS:"
-                or not tokens[1].isdigit()
-                or not tokens[3].lstrip("-").isdigit()
+                or not _is_integer(tokens[1])
+                or not _is_integer(tokens[3], signed=True)
             ):
                 raise SeoSyntaxError(f"line {lineno}: expected 'LOOP <id> REPS: <n>'")
             loop_id, reps = int(tokens[1]), int(tokens[3])
@@ -421,7 +409,7 @@ def parse_english(path) -> SeoProgram:
             stack.append(loop.body)
             open_ids.append(loop_id)
         elif word == "NEXT":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_integer(tokens[1]):
                 raise SeoSyntaxError(f"line {lineno}: expected 'NEXT <id>'")
             if not open_ids:
                 raise SeoSyntaxError(f"line {lineno}: NEXT with no open LOOP")

@@ -12,6 +12,7 @@ from nandfruit import (
     SeoProgram,
     SeoSyntaxError,
     count_elementary_ops,
+    count_english_lines,
     expand,
     parse_english,
     program_unitary,
@@ -111,6 +112,17 @@ class TestGateInvariants:
         with pytest.raises(ValueError, match="qubit 1"):
             prog.validate()
 
+    @pytest.mark.parametrize("bad, match", [
+        (g(target=1), "qubit 1"),
+        (g(controls=((3, False),)), "qubit 3"),
+        (Loop(0, [g()]), "reps 0"),
+    ])
+    def test_fault_only_in_a_shared_sub_list_rejected(self, bad, match):
+        shared = [g(), [bad]]
+        prog = SeoProgram(1, [Loop(2, [shared]), g(), shared, Loop(3, shared)])
+        with pytest.raises(ValueError, match=match):
+            prog.validate()
+
 
 def random_program(rng, max_qubits=5, max_depth=3):
     n = rng.randint(1, max_qubits)
@@ -126,11 +138,23 @@ def random_program(rng, max_qubits=5, max_depth=3):
             target = None
         return Gate(kind, target, angle, controls)
 
+    # finished Loops and plain sub-lists, each with the depth of the body it
+    # was first placed in; one placed again in a body no deeper shares its
+    # object, as compiled programs do, and keeps the nesting within max_depth
+    made = []
+
     def make_body(depth):
         body = []
         for _ in range(rng.randint(0, 5)):
-            if depth < max_depth and rng.random() < 0.3:
-                body.append(Loop(rng.randint(1, 4), make_body(depth + 1)))
+            roll = rng.random()
+            again = [item for item, at in made if depth <= at]
+            if again and roll < 0.15:
+                body.append(rng.choice(again))
+            elif depth < max_depth and roll < 0.45:
+                inner = make_body(depth + 1)
+                item = Loop(rng.randint(1, 4), inner) if roll < 0.35 else inner
+                made.append((item, depth))
+                body.append(item)
             else:
                 body.append(make_gate())
         return body
@@ -219,7 +243,8 @@ class TestFiles:
             eng, pic = tmp_path / f"e{i}_eng.txt", tmp_path / f"e{i}_pic.txt"
             write_english(prog, eng)
             write_picture(prog, pic)
-            assert len(eng.read_text().splitlines()) == len(pic.read_text().splitlines())
+            lines = len(eng.read_text().splitlines())
+            assert lines == len(pic.read_text().splitlines()) == count_english_lines(prog)
 
     def test_log_contents(self, tmp_path):
         spec = FruitSpec("t", 3, 3, 0.5, 2, "0,1", 2, 2, 3, 4, 2)
@@ -263,6 +288,30 @@ class TestParse:
             "NUM_QUBITS 1\nLOOP 0 REPS: 2\nNEXT 0\nLOOP 0 REPS: 2\nNEXT 0\n"
         )
         with pytest.raises(SeoSyntaxError, match="duplicate loop id"):
+            parse_english(path)
+
+    # each line replaces the line with the same first word in a valid 4-line
+    # file; int() alone would reject '--5' and '²' without a line number, and
+    # would read the Arabic-Indic '٠' and '+0' as 0
+    @pytest.mark.parametrize("line, match", [
+        ("NUM_QUBITS ²", "line 1: expected 'NUM_QUBITS <n>'"),
+        ("LOOP ² REPS: 2", "line 2: expected 'LOOP <id> REPS: <n>'"),
+        ("LOOP 0 REPS: ²", "line 2: expected 'LOOP <id> REPS: <n>'"),
+        ("LOOP 0 REPS: --5", "line 2: expected 'LOOP <id> REPS: <n>'"),
+        ("LOOP 0 REPS: -", "line 2: expected 'LOOP <id> REPS: <n>'"),
+        ("LOOP 0 REPS: -1", "line 2: loop reps must be >= 1"),
+        ("SIGX AT ٠ IF 1T", "line 3: bad target '٠'"),
+        ("SIGX AT +0 IF 1T", "line 3: bad target '\\+0'"),
+        ("SIGX AT 0 IF ²T", "line 3: bad control token '²T'"),
+        ("SIGX AT 0 IF T", "line 3: bad control token 'T'"),
+        ("NEXT ²", "line 4: expected 'NEXT <id>'"),
+    ])
+    def test_malformed_integer_names_its_line(self, line, match, tmp_path):
+        lines = ["NUM_QUBITS 2", "LOOP 0 REPS: 2", "SIGX AT 0 IF 1T", "NEXT 0"]
+        lines = [line if line.split()[0] == old.split()[0] else old for old in lines]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SeoSyntaxError, match=match):
             parse_english(path)
 
     def test_bad_reps(self, tmp_path):
